@@ -61,12 +61,13 @@ commands:
            [--machines K] [--threads T] [--audit incremental|batch]
            [--check-serial 0|1] [--corrupt WHAT] [--max-rows N]
            sharded multi-machine run: the serial dispatcher records a
-           deterministic dispatch log, per-machine event queues replay as
-           worker-pool tasks (--threads T, default auto), and the
-           event-driven cross-machine auditor gates the merged outcome
-           (--audit incremental, default; batch uses MultiAudit). Unless
-           --check-serial 0, the serial runner is re-run and the sharded
-           outcome must match it bit for bit (DESIGN.md §12). --corrupt
+           deterministic dispatch log, the log replays as worker-pool
+           tasks (--threads T, default auto), and the event-driven
+           cross-machine auditor gates the merged outcome (--audit
+           incremental, default; batch uses MultiAudit). Unless
+           --check-serial 0, the log is replayed again on one worker (the
+           serial runner) and the two outcomes must match bit for bit
+           (DESIGN.md §12). --corrupt
            as for 'audit' tampers with the outcome so the gate must go
            red. Exits non-zero on audit failure or bitwise divergence
   stream   --input FILE|- [--algorithm c|nc] [--alpha ALPHA] [--spill CAP]
@@ -364,11 +365,11 @@ fn multi_run_of(
 ) -> Result<MultiRun, String> {
     let err = |e: ncss_sim::SimError| e.to_string();
     match name {
-        "c-par" => run_c_par(inst, law, machines).map(Into::into).map_err(err),
-        "nc-par" => run_nc_par(inst, law, machines).map(Into::into).map_err(err),
+        "c-par" => run_c_par(inst, law, machines).map_err(err),
+        "nc-par" => run_nc_par(inst, law, machines).map_err(err),
         "dispatch" => {
             let mut policy = LeastCount::default();
-            run_immediate_dispatch(inst, law, machines, &mut policy).map(Into::into).map_err(err)
+            run_immediate_dispatch(inst, law, machines, &mut policy).map_err(err)
         }
         _ => Err(format!("unknown parallel algorithm '{name}'; see 'ncss help'")),
     }
@@ -634,7 +635,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.csv");
         let csv = run_cli(&v(&["generate", "--n", "5", "--seed", "3"])).unwrap();
-        std::fs::write(&path, csv).unwrap();
+        // Tests run in parallel and share this file: write a private copy
+        // and rename it into place, so no reader sees a half-written file.
+        let tmp = dir.join(format!("trace.{:?}.tmp", std::thread::current().id()));
+        std::fs::write(&tmp, csv).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 

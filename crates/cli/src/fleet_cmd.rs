@@ -1,12 +1,13 @@
 //! The `fleet` subcommand: sharded multi-machine runs over the worker pool.
 //!
-//! Where `audit --algorithm c-par` drives the *serial* fleet runners, this
-//! command drives the sharded path (`ncss_multi::fleet`): a deterministic
-//! [`DispatchLog`] built by the serial dispatcher, replayed with one pool
-//! task per machine, gated by the event-driven cross-machine auditor. The
-//! serial runner is re-run alongside (unless `--check-serial 0`) and the
-//! two outcomes must agree bit for bit — the fleet determinism contract of
-//! DESIGN.md §12, here as an operational self-check rather than a test.
+//! Where `audit --algorithm c-par` drives the serial fleet runners, this
+//! command drives the same path sharded (`ncss_multi::fleet`): a
+//! deterministic [`DispatchLog`] built by the serial dispatcher, replayed
+//! over the worker pool, gated by the event-driven cross-machine auditor.
+//! Unless `--check-serial 0`, the log is replayed again on one worker —
+//! which is what the serial runners are — and the two outcomes must agree
+//! bit for bit: the fleet determinism contract of DESIGN.md §12, here as an
+//! operational self-check rather than a test.
 
 use crate::args::ParsedArgs;
 use ncss_analysis::{fmt_f, Table};
@@ -14,10 +15,13 @@ use ncss_audit::{AuditConfig, MultiAudit, AuditReport};
 use ncss_multi::fleet::{
     audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog,
 };
-use ncss_multi::{run_c_par, run_immediate_dispatch, run_nc_par, LeastCount, ParOutcome};
+use ncss_multi::{LeastCount, ParOutcome};
 use ncss_pool::Pool;
-use ncss_sim::{Instance, PowerLaw};
+use ncss_sim::{Instance, PowerLaw, SimResult};
 use ncss_workloads::instance_from_csv;
+
+/// A dispatch-log replay: `replay_c`, `replay_nc` or `replay_nc_assigned`.
+type Replay = fn(&Instance, PowerLaw, &DispatchLog, &Pool) -> SimResult<ParOutcome>;
 
 /// Tamper with a sharded outcome before auditing (`--corrupt WHAT`); the
 /// audit gate MUST then go red, which `scripts/verify.sh` asserts with a
@@ -56,8 +60,8 @@ fn corrupt_outcome(out: &mut ParOutcome, what: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Assert the sharded outcome is bitwise the serial runner's. Returns a
-/// description of the first divergence, if any.
+/// Assert the sharded outcome is bitwise the one-worker (serial) replay's.
+/// Returns a description of the first divergence, if any.
 fn serial_divergence(serial: &ParOutcome, sharded: &ParOutcome) -> Option<String> {
     if serial.assignment != sharded.assignment {
         return Some("job->machine assignment differs".into());
@@ -135,38 +139,13 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
     let check_serial = args.usize_or("check-serial", 1)? != 0;
 
     // Phase 1 (serial): record the dispatcher's decisions. Phase 2
-    // (parallel): replay per-machine event queues as pool tasks.
-    let (log, mut sharded, serial) = match algorithm.as_str() {
-        "c-par" => {
-            let log = DispatchLog::c_par(&inst, law, machines).map_err(|e| e.to_string())?;
-            let sharded = replay_c(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
-            let serial = check_serial
-                .then(|| run_c_par(&inst, law, machines).map_err(|e| e.to_string()))
-                .transpose()?;
-            (log, sharded, serial)
-        }
-        "nc-par" => {
-            let log = DispatchLog::nc_par(&inst, law, machines).map_err(|e| e.to_string())?;
-            let sharded = replay_nc(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
-            let serial = check_serial
-                .then(|| run_nc_par(&inst, law, machines).map_err(|e| e.to_string()))
-                .transpose()?;
-            (log, sharded, serial)
-        }
+    // (parallel): replay the log over the pool.
+    let (log, replay): (SimResult<DispatchLog>, Replay) = match algorithm.as_str() {
+        "c-par" => (DispatchLog::c_par(&inst, law, machines), replay_c),
+        "nc-par" => (DispatchLog::nc_par(&inst, law, machines), replay_nc),
         "dispatch" => {
-            let mut policy = LeastCount::default();
-            let log = DispatchLog::from_policy(&inst, machines, &mut policy)
-                .map_err(|e| e.to_string())?;
-            let sharded =
-                replay_nc_assigned(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
-            let serial = check_serial
-                .then(|| {
-                    let mut policy = LeastCount::default();
-                    run_immediate_dispatch(&inst, law, machines, &mut policy)
-                        .map_err(|e| e.to_string())
-                })
-                .transpose()?;
-            (log, sharded, serial)
+            let log = DispatchLog::from_policy(&inst, machines, &mut LeastCount::default());
+            (log, replay_nc_assigned)
         }
         other => {
             return Err(format!(
@@ -174,6 +153,11 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
             ))
         }
     };
+    let log = log.map_err(|e| e.to_string())?;
+    let mut sharded = replay(&inst, law, &log, &pool).map_err(|e| e.to_string())?;
+    let serial = check_serial
+        .then(|| replay(&inst, law, &log, &Pool::with_threads(1)).map_err(|e| e.to_string()))
+        .transpose()?;
 
     if let Some(serial) = &serial {
         if let Some(divergence) = serial_divergence(serial, &sharded) {
@@ -239,7 +223,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.csv");
         let csv = run_cli(&v(&["generate", "--n", "24", "--seed", "11"])).unwrap();
-        std::fs::write(&path, csv).unwrap();
+        // Tests run in parallel and share this file: write a private copy
+        // and rename it into place, so no reader sees a half-written file.
+        let tmp = dir.join(format!("trace.{:?}.tmp", std::thread::current().id()));
+        std::fs::write(&tmp, csv).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 

@@ -8,8 +8,10 @@
 //! in `W`, and flow-time equals energy for Algorithm C). Ties break by
 //! machine index — the total order the paper fixes.
 
+use crate::fleet::run_c_par_sharded;
 use ncss_core::{run_c, CRun};
-use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, Schedule, Segment, SimError, SimResult};
+use ncss_pool::Pool;
+use ncss_sim::{Instance, Job, PowerLaw, SimError, SimResult};
 
 /// Largest supported machine count. Parallel-machine state is `O(m)` even
 /// when most machines stay idle, so an adversarial `m` near `usize::MAX`
@@ -28,92 +30,25 @@ pub(crate) fn validate_machines(machines: usize) -> SimResult<()> {
     Ok(())
 }
 
-/// Outcome of a parallel-machine run.
-#[derive(Debug, Clone)]
-pub struct ParOutcome {
-    /// Machine index assigned to each job (by original job id).
-    pub assignment: Vec<usize>,
-    /// Total objective summed over machines.
-    pub objective: Objective,
-    /// Per-job outcomes in original job ids.
-    pub per_job: PerJob,
-    /// Per-machine timelines (one [`Schedule`] per machine, empty for idle
-    /// machines), with segments labelled by **original** job ids so the
-    /// cross-machine auditor can check them against the instance.
-    pub schedules: Vec<Schedule>,
-}
+/// Outcome of a parallel-machine run: the assignment, the summed
+/// objective, per-job outcomes in original job ids, and one timeline per
+/// machine (empty for idle machines) with segments labelled by original
+/// job ids. It is [`ncss_core::MultiRun`] itself, so every runner here
+/// plugs into [`ncss_core::run_checked_multi`] and the auditors directly.
+pub use ncss_core::MultiRun as ParOutcome;
 
-impl From<ParOutcome> for ncss_core::MultiRun {
-    /// Bridge into [`ncss_core::run_checked_multi`]: every parallel runner
-    /// here plugs into the cross-machine audit driver via `.map(Into::into)`.
-    fn from(out: ParOutcome) -> Self {
-        Self {
-            assignment: out.assignment,
-            objective: out.objective,
-            per_job: out.per_job,
-            schedules: out.schedules,
-        }
-    }
-}
-
-/// Split an instance by a given assignment; returns per-machine instances
-/// plus the original ids of each machine's jobs.
-pub(crate) fn split_by_assignment(
-    instance: &Instance,
-    assignment: &[usize],
-    machines: usize,
-) -> SimResult<Vec<(Instance, Vec<usize>)>> {
-    validate_machines(machines)?;
-    let mut parts: Vec<(Vec<Job>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); machines];
-    for (j, job) in instance.jobs().iter().enumerate() {
-        let m = assignment[j];
-        if m >= machines {
-            return Err(SimError::InvalidInstance { reason: "assignment out of range" });
-        }
-        parts[m].0.push(*job);
-        parts[m].1.push(j);
-    }
-    parts
-        .into_iter()
-        .map(|(jobs, ids)| Ok((Instance::new(jobs)?, ids)))
-        .collect()
-}
-
-/// Merge per-machine per-job results into global vectors.
-pub(crate) fn merge_per_job(
-    n: usize,
-    machines: &[(Instance, Vec<usize>)],
-    runs: &[PerJob],
-) -> PerJob {
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut int_flow = vec![0.0; n];
-    for ((_, ids), pj) in machines.iter().zip(runs) {
-        for (local, &orig) in ids.iter().enumerate() {
-            completion[orig] = pj.completion[local];
-            frac_flow[orig] = pj.frac_flow[local];
-            int_flow[orig] = pj.int_flow[local];
-        }
-    }
-    PerJob { completion, frac_flow, int_flow }
-}
-
-/// Relabel a per-machine schedule's segments from machine-local job ids to
-/// the original instance ids (`ids[local] = original`).
-pub(crate) fn remap_schedule(schedule: &Schedule, ids: &[usize]) -> SimResult<Schedule> {
-    let segments = schedule
-        .segments()
-        .iter()
-        .map(|s| Segment { job: s.job.map(|local| ids[local]), ..*s })
-        .collect();
-    Schedule::new(schedule.power_law(), segments)
+/// Tie slack for the dispatchers' comparisons at magnitude `x`: `1e-12`
+/// absolute at or above 1, `1e-12` relative below it. Scaling volumes and
+/// releases by an exact change of units then cannot flip a decision, while
+/// decisions at magnitudes of 1 and above keep the absolute slack they
+/// always had.
+pub(crate) fn tie_slack(x: f64) -> f64 {
+    1e-12 * x.abs().min(1.0)
 }
 
 /// The C-PAR greedy dispatch rule on its own: the machine index chosen for
-/// each job, in release order. Factored out of [`run_c_par`] so the serial
-/// runner and the fleet's [`crate::fleet::DispatchLog`] share one
-/// implementation of the tie-break semantics — the dispatch decisions feeding
-/// the sharded executor are the serial runner's decisions by construction.
+/// each job, in release order. [`crate::fleet::DispatchLog::c_par`] records
+/// these decisions.
 pub(crate) fn greedy_c_par_assignment(
     instance: &Instance,
     law: PowerLaw,
@@ -147,7 +82,7 @@ pub(crate) fn greedy_c_par_assignment(
             };
             let ties: f64 = jobs.iter().filter(|i| i.release == job.release).map(Job::weight).sum();
             let w = strictly_before + ties;
-            if w < best_w - 1e-12 {
+            if w < best_w - tie_slack(best_w) {
                 best_w = w;
                 best = m;
             }
@@ -159,25 +94,10 @@ pub(crate) fn greedy_c_par_assignment(
     Ok(assignment)
 }
 
-/// Run C-PAR on `machines` identical machines.
+/// Run C-PAR on `machines` identical machines: the greedy dispatch log
+/// replayed on one inline worker ([`crate::fleet::run_c_par_sharded`]).
 pub fn run_c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
-    let n = instance.len();
-    let assignment = greedy_c_par_assignment(instance, law, machines)?;
-    let parts = split_by_assignment(instance, &assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
-        let run = run_c(inst, law)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(n, &parts, &per_machine);
-    let objective = objective.validated("run_c_par: objective")?;
-    Ok(ParOutcome { assignment, objective, per_job, schedules })
+    run_c_par_sharded(instance, law, machines, &Pool::with_threads(1))
 }
 
 #[cfg(test)]

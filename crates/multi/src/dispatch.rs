@@ -8,7 +8,8 @@
 //! lower bound): look-alike jobs cannot be load-balanced.
 
 use crate::c_par::ParOutcome;
-use crate::nc_par::run_nc_with_assignment;
+use crate::fleet::{replay_nc_assigned, DispatchLog};
+use ncss_pool::Pool;
 use ncss_sim::{Instance, PowerLaw, SimResult};
 
 /// A deterministic (or seeded-random) immediate-dispatch policy.
@@ -112,21 +113,21 @@ pub fn collect_assignment(
 }
 
 /// Run a policy end-to-end: dispatch every job at release, then run
-/// per-machine Algorithm NC under the resulting assignment.
+/// per-machine Algorithm NC under the resulting assignment — the
+/// [`DispatchLog::from_policy`] log replayed on one inline worker.
 ///
 /// The machine count is validated **before** the policy sees it: policies
 /// assume `machines ≥ 1` (round-robin and random both reduce modulo the
-/// count), so `m = 0` must become a typed error here, not a panic inside
-/// the policy.
+/// count), so `m = 0` must become a typed error, not a panic inside the
+/// policy.
 pub fn run_immediate_dispatch(
     instance: &Instance,
     law: PowerLaw,
     machines: usize,
     policy: &mut dyn ImmediateDispatch,
 ) -> SimResult<ParOutcome> {
-    crate::c_par::validate_machines(machines)?;
-    let assignment = collect_assignment(instance, machines, policy);
-    run_nc_with_assignment(instance, law, &assignment, machines)
+    let log = DispatchLog::from_policy(instance, machines, policy)?;
+    replay_nc_assigned(instance, law, &log, &Pool::with_threads(1))
 }
 
 #[cfg(test)]

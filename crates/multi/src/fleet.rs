@@ -1,58 +1,55 @@
-//! Fleet-scale sharded C-PAR / NC-PAR: per-machine event queues as pool
-//! tasks, fed by a deterministic dispatch log.
+//! The one multi-machine path: a deterministic dispatch log, replayed as
+//! per-machine work over the worker pool.
 //!
-//! The serial runners in [`crate::c_par`] and [`crate::nc_par`] interleave
-//! two jobs: *deciding* which machine each job goes to, and *executing*
-//! each machine's own event queue. Only the decision is inherently serial —
-//! C-PAR's greedy rule and NC-PAR's global FIFO both depend on the whole
-//! fleet's state at each release. Execution is embarrassingly parallel:
-//! once the assignment (and, for NC-PAR, each job's dispatch time) is
-//! fixed, every machine's timeline is a pure function of its own queue.
+//! Every parallel runner in this crate has two parts. *Deciding* which
+//! machine each job goes to is inherently serial: C-PAR's greedy rule and
+//! NC-PAR's global FIFO both read the whole fleet's state at each release.
+//! *Executing* is embarrassingly parallel: once the decisions are fixed,
+//! every machine's timeline is a pure function of its own queue.
 //!
-//! This module splits the two phases. A [`DispatchLog`] records the serial
-//! dispatcher's decisions — one `(job, machine, start)` entry per job, in
-//! release order. The sharded executors replay the log with one pool task
-//! per machine over the persistent worker pool (`ncss-pool`), then merge
-//! per-machine results back in the exact floating-point summation order the
-//! serial runner uses. Because [`ncss_pool::Pool::map`] is order-preserving
-//! and interleaving-free, the merged outcome is **bitwise identical** to
-//! the serial runner's — the same serial==parallel contract the audit layer
-//! proves for its own sharding (DESIGN.md §8), extended to the fleet
-//! (DESIGN.md §12), and property-tested in `tests/fleet_identity.rs`.
-//! That contract is what makes k ∈ {2..4096} tractable with
-//! [`IncrementalMultiAudit`] gating every cell of the `Ω(k^{1−1/α})`
-//! dispatch study (EXPERIMENTS.md, "Fleet k-sweep").
+//! A [`DispatchLog`] records the decisions, one entry per job in release
+//! order. The replays ([`replay_c`], [`replay_nc`], [`replay_nc_assigned`])
+//! evaluate it over the persistent worker pool (`ncss-pool`), then merge in
+//! a fixed floating-point summation order. [`ncss_pool::Pool::map`] is
+//! order-preserving and interleaving-free, so the outcome is **bitwise
+//! identical** at every pool width (DESIGN.md §12). The serial runners
+//! ([`crate::run_c_par`], [`crate::run_nc_par`],
+//! [`crate::run_immediate_dispatch`], …) are these replays on
+//! `Pool::with_threads(1)`, which runs inline. The independent serial
+//! reference they are checked against lives in `tests/multi_reference.rs`.
 //!
-//! Why the log records a **start time** and not just a machine: NC-PAR
-//! dispatches the queue head at `t = max(release, earliest availability)`
-//! to any machine with `avail[m] ≤ t + 1e-12` — a machine may legally begin
-//! a job up to `1e-12` *before* its own previous completion. A
-//! machine-local replay that re-derived starts as `max(release, avail[m])`
-//! would produce different bits on exactly those ties, so the dispatcher's
-//! `t_start` travels with the entry and the replay honours it verbatim.
+//! Why an NC-PAR entry records its **start time** and its **base power
+//! `K_j`**, not just a machine: NC-PAR dispatches the queue head at
+//! `t = max(release, earliest availability)` to the lowest-indexed machine
+//! with `avail[m] ≤ t + slack` (`1e-12`, relative below magnitude 1), so a
+//! machine may legally begin a job a hair *before* its own previous
+//! completion. A machine-local replay that re-derived starts would disagree
+//! on exactly those ties. `K_j` is the C run's remaining weight over the
+//! machine's earlier jobs; the dispatcher must compute it anyway to know
+//! when the machine frees up. Both values travel with the decision, so
+//! [`replay_nc`] only evaluates each job's growth-law service and never
+//! re-simulates a machine's history.
 
-use crate::c_par::{
-    greedy_c_par_assignment, merge_per_job, remap_schedule, split_by_assignment,
-    validate_machines, ParOutcome,
-};
+use crate::c_par::{greedy_c_par_assignment, tie_slack, validate_machines, ParOutcome};
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
+use crate::nc_par::GrowthService;
 use ncss_audit::{AuditConfig, AuditReport, IncrementalMultiAudit};
 use ncss_core::run_c;
 use ncss_pool::Pool;
-use ncss_sim::kernel::GrowthKernel;
 use ncss_sim::{
     Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult, SpeedLaw,
+    SimResult,
 };
 
 /// One dispatch decision: job `job` goes to machine `machine`, beginning
 /// service at time `start`.
 ///
 /// For immediate-dispatch algorithms (C-PAR, the [`ImmediateDispatch`]
-/// policies) `start` is the job's release time; for NC-PAR it is the global
-/// FIFO dispatch time `max(release, earliest machine availability)`, which
-/// the sharded replay must honour verbatim (see the module docs for why it
-/// cannot be re-derived machine-locally without changing bits).
+/// policies) `start` is the job's release time and `base_power` is `None`;
+/// for NC-PAR `start` is the global FIFO dispatch time
+/// `max(release, earliest machine availability)` and `base_power` is the
+/// job's `K_j`, both of which [`replay_nc`] honours verbatim (see the
+/// module docs for why).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchEntry {
     /// Original job id (its position in the release-sorted instance).
@@ -61,6 +58,9 @@ pub struct DispatchEntry {
     pub machine: usize,
     /// Time at which the machine begins serving the job.
     pub start: f64,
+    /// NC-PAR's base power `K_j = W^{(C)}(r_j^-)` over the machine's
+    /// earlier jobs; `None` for immediate-dispatch logs.
+    pub base_power: Option<f64>,
 }
 
 /// A deterministic dispatch log: the serial dispatcher's decisions, one
@@ -102,10 +102,10 @@ pub struct DispatchLog {
 }
 
 impl DispatchLog {
-    /// Build a log from raw entries, validating the invariants the sharded
-    /// executors rely on: a usable machine count, exactly one entry per job
-    /// in job-id order (`entries[j].job == j`), machine indices in range,
-    /// and finite start times.
+    /// Build a log from raw entries, validating the invariants the replays
+    /// rely on: a usable machine count, exactly one entry per job in job-id
+    /// order (`entries[j].job == j`), machine indices in range, finite
+    /// start times, and finite non-negative base powers where recorded.
     pub fn new(machines: usize, entries: Vec<DispatchEntry>) -> SimResult<Self> {
         validate_machines(machines)?;
         for (j, e) in entries.iter().enumerate() {
@@ -122,6 +122,11 @@ impl DispatchLog {
             if !e.start.is_finite() {
                 return Err(SimError::InvalidInstance {
                     reason: "dispatch log start time is not finite",
+                });
+            }
+            if e.base_power.is_some_and(|k| !(k.is_finite() && k >= 0.0)) {
+                return Err(SimError::InvalidInstance {
+                    reason: "dispatch log base power is not finite and non-negative",
                 });
             }
         }
@@ -159,9 +164,7 @@ impl DispatchLog {
     }
 
     /// Record C-PAR's greedy least-remaining-weight dispatch decisions
-    /// (Section 6, Theorem 18). Shares the greedy implementation with the
-    /// serial [`crate::run_c_par`], so the decisions are the serial
-    /// runner's by construction; `start` is each job's release time
+    /// (Section 6, Theorem 18). `start` is each job's release time
     /// (immediate dispatch).
     pub fn c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
         let assignment = greedy_c_par_assignment(instance, law, machines)?;
@@ -170,45 +173,35 @@ impl DispatchLog {
 
     /// Record NC-PAR's global-FIFO dispatch decisions (Section 6,
     /// Theorem 17): the queue head goes to the lowest-indexed machine
-    /// available at `max(release, earliest availability)`, which is the
-    /// recorded `start`. Mirrors the dispatch loop of
-    /// [`crate::run_nc_par`] exactly — including the `1e-12` availability
-    /// slack and the growth-law service times that drive availability —
-    /// and the bitwise identity between the two code paths is pinned by
-    /// `tests/fleet_identity.rs`.
+    /// available at `start = max(release, earliest availability)`, within
+    /// a tie slack of `start` (`1e-12`, relative below magnitude 1). Each
+    /// entry records `start` and the job's `K_j`, which this loop needs
+    /// anyway: the growth-law service time it implies decides when the
+    /// machine is next available.
     ///
-    /// Like the serial runner, rejects non-uniform densities (the paper's
-    /// Theorem 17 setting) and non-finite service times.
+    /// Rejects non-uniform densities (the paper's Theorem 17 setting) and
+    /// non-finite service times.
     pub fn nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
         validate_machines(machines)?;
         if !instance.is_uniform_density() {
             return Err(SimError::NonUniformDensity);
         }
         let mut avail = vec![0.0f64; machines];
+        // Each machine's jobs so far, in release order (the FIFO order).
         let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
         let mut entries = Vec::with_capacity(instance.len());
         for (j, job) in instance.jobs().iter().enumerate() {
             let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
             let start = job.release.max(earliest);
             let m = (0..machines)
-                .find(|&m| avail[m] <= start + 1e-12)
-                .expect("some machine is available at t_start");
-            // Service time under the growth law P(s) = K_j + processed
-            // weight — needed here because the next dispatch decision
-            // depends on this machine's completion time.
+                .find(|&m| avail[m] <= start + tie_slack(start))
+                .expect("some machine is available at start");
             let k_j =
                 ncss_core::nc_uniform::base_power_over_history(&assigned[m], job.release, law)?;
-            let kernel = GrowthKernel { law, u0: k_j, rho: job.density };
-            let tau = kernel.time_to_volume(job.volume);
-            if !tau.is_finite() {
-                return Err(SimError::Numeric {
-                    what: "DispatchLog::nc_par: service time",
-                    value: tau,
-                });
-            }
-            avail[m] = start + tau;
+            let what = "DispatchLog::nc_par: service time";
+            avail[m] = start + GrowthService::new(law, k_j, job, what)?.tau;
             assigned[m].push(*job);
-            entries.push(DispatchEntry { job: j, machine: m, start });
+            entries.push(DispatchEntry { job: j, machine: m, start, base_power: Some(k_j) });
         }
         Self::new(machines, entries)
     }
@@ -242,186 +235,161 @@ impl DispatchLog {
             .iter()
             .zip(assignment)
             .enumerate()
-            .map(|(j, (job, &m))| DispatchEntry { job: j, machine: m, start: job.release })
+            .map(|(j, (job, &m))| DispatchEntry {
+                job: j,
+                machine: m,
+                start: job.release,
+                base_power: None,
+            })
             .collect();
         Self::new(machines, entries)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded executors
+// Replays
 // ---------------------------------------------------------------------------
 
-/// Split by the log's assignment and run one pool task per machine, merging
-/// objectives / per-job vectors / schedules in the serial runners' exact
-/// machine order. `run` must be pure (no interior mutability observable
-/// across calls): that, plus the pool's order preservation, is what makes
-/// the merged result bitwise equal to the serial fold.
-fn replay_split(
+/// Per-job outcomes for `n` jobs before any is served.
+fn unserved(n: usize) -> PerJob {
+    PerJob { completion: vec![f64::NAN; n], frac_flow: vec![0.0; n], int_flow: vec![0.0; n] }
+}
+
+fn check_len(instance: &Instance, log: &DispatchLog) -> SimResult<()> {
+    if log.len() == instance.len() {
+        Ok(())
+    } else {
+        Err(SimError::InvalidInstance { reason: "dispatch log length mismatch" })
+    }
+}
+
+/// Split the instance into the log's per-machine queues and run one pool
+/// task per machine, merging objectives machine 0, 1, 2, …, per-job
+/// vectors by original id, and schedules relabelled to original ids.
+/// `run` must be pure (no interior mutability observable across calls):
+/// that, plus the pool's order preservation, makes the merged result the
+/// same bits at every pool width.
+pub(crate) fn replay_split(
     instance: &Instance,
-    assignment: &[usize],
-    machines: usize,
+    log: &DispatchLog,
     pool: &Pool,
     run: impl Fn(&Instance) -> SimResult<(Objective, PerJob, Schedule)> + Sync,
     what: &'static str,
 ) -> SimResult<ParOutcome> {
-    let parts = split_by_assignment(instance, assignment, machines)?;
+    check_len(instance, log)?;
+    let mut queues: Vec<(Vec<Job>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); log.machines()];
+    for e in log.entries() {
+        queues[e.machine].0.push(*instance.job(e.job));
+        queues[e.machine].1.push(e.job);
+    }
+    let parts = queues
+        .into_iter()
+        .map(|(jobs, ids)| Ok((Instance::new(jobs)?, ids)))
+        .collect::<SimResult<Vec<_>>>()?;
     let results = pool.map(&parts, |(inst, _)| run(inst));
     let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
+    let mut per_job = unserved(instance.len());
+    let mut schedules = Vec::with_capacity(parts.len());
     for (res, (_, ids)) in results.into_iter().zip(&parts) {
         let (o, pj, schedule) = res?;
         objective.energy += o.energy;
         objective.frac_flow += o.frac_flow;
         objective.int_flow += o.int_flow;
-        per_machine.push(pj);
-        schedules.push(remap_schedule(&schedule, ids)?);
+        for (local, &orig) in ids.iter().enumerate() {
+            per_job.completion[orig] = pj.completion[local];
+            per_job.frac_flow[orig] = pj.frac_flow[local];
+            per_job.int_flow[orig] = pj.int_flow[local];
+        }
+        let segments = schedule
+            .segments()
+            .iter()
+            .map(|s| Segment { job: s.job.map(|local| ids[local]), ..*s })
+            .collect();
+        schedules.push(Schedule::new(schedule.power_law(), segments)?);
     }
-    let per_job = merge_per_job(instance.len(), &parts, &per_machine);
     let objective = objective.validated(what)?;
-    Ok(ParOutcome { assignment: assignment.to_vec(), objective, per_job, schedules })
+    Ok(ParOutcome { assignment: log.assignment(), objective, per_job, schedules })
 }
 
-/// Replay a dispatch log with per-machine **Algorithm C** event queues as
-/// pool tasks. With a [`DispatchLog::c_par`] log this is sharded C-PAR;
-/// with any other log it is "per-machine C under that dispatch".
-///
-/// Bitwise identical to [`crate::run_c_par`]'s split-run-merge for the same
-/// assignment: the pool map is order-preserving, each machine's `run_c` is
-/// a pure function of its own queue, and the objective folds machine 0, 1,
-/// 2, … exactly as the serial loop does.
+/// Replay a dispatch log with per-machine **Algorithm C** as pool tasks.
+/// With a [`DispatchLog::c_par`] log this is C-PAR; with any other log it
+/// is "per-machine C under that dispatch".
 pub fn replay_c(
     instance: &Instance,
     law: PowerLaw,
     log: &DispatchLog,
     pool: &Pool,
 ) -> SimResult<ParOutcome> {
-    replay_split(
-        instance,
-        &log.assignment(),
-        log.machines(),
-        pool,
-        |inst| run_c(inst, law).map(|r| (r.objective, r.per_job, r.schedule)),
-        "replay_c: objective",
-    )
+    let run = |inst: &Instance| run_c(inst, law).map(|r| (r.objective, r.per_job, r.schedule));
+    replay_split(instance, log, pool, run, "replay_c: objective")
 }
 
-/// Replay a dispatch log with per-machine **Algorithm NC** event queues
+/// Replay a dispatch log with per-machine **Algorithm NC** as pool tasks
 /// (each machine restarts NC over its own queue, ignoring recorded starts)
-/// — the sharded form of [`crate::run_nc_with_assignment`], used for the
-/// [`ImmediateDispatch`] policies and the lower-bound game.
+/// — the form behind [`crate::run_nc_with_assignment`] and
+/// [`crate::run_immediate_dispatch`], used for the [`ImmediateDispatch`]
+/// policies and the lower-bound game.
 pub fn replay_nc_assigned(
     instance: &Instance,
     law: PowerLaw,
     log: &DispatchLog,
     pool: &Pool,
 ) -> SimResult<ParOutcome> {
-    replay_split(
-        instance,
-        &log.assignment(),
-        log.machines(),
-        pool,
-        |inst| ncss_core::run_nc_uniform(inst, law).map(|r| (r.objective, r.per_job, r.schedule)),
-        "replay_nc_assigned: objective",
-    )
+    let run = |inst: &Instance| {
+        ncss_core::run_nc_uniform(inst, law).map(|r| (r.objective, r.per_job, r.schedule))
+    };
+    replay_split(instance, log, pool, run, "replay_nc_assigned: objective")
 }
 
-/// One machine's NC-PAR replay: per-job rows in dispatch order plus the
-/// machine's timeline.
-struct NcMachineRun {
-    /// `(job id, energy, completion, frac flow, int flow)` per queue entry.
-    rows: Vec<(usize, f64, f64, f64, f64)>,
-    schedule: Schedule,
-}
-
-/// Replay one machine's NC-PAR event queue: growth-law service at the
-/// recorded start times, deriving `K_j` from the machine's own dispatch
-/// history — the same pure kernel calls the serial runner makes, in the
-/// same order, so every row is bitwise the serial runner's.
-fn replay_nc_machine(law: PowerLaw, queue: &[(usize, Job, f64)]) -> SimResult<NcMachineRun> {
-    let mut history: Vec<Job> = Vec::with_capacity(queue.len());
-    let mut builder = ScheduleBuilder::new(law);
-    let mut rows = Vec::with_capacity(queue.len());
-    for &(id, job, start) in queue {
-        let k_j = ncss_core::nc_uniform::base_power_over_history(&history, job.release, law)?;
-        let rho = job.density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
-        let tau = kernel.time_to_volume(job.volume);
-        if !tau.is_finite() {
-            return Err(SimError::Numeric { what: "replay_nc: service time", value: tau });
-        }
-        let completion = start + tau;
-        let frac = rho * job.volume * (start - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral(tau));
-        let int = job.weight() * (completion - job.release);
-        builder.push(Segment::new(start, completion, Some(id), SpeedLaw::Growth { u0: k_j, rho }));
-        rows.push((id, kernel.energy(tau), completion, frac, int));
-        history.push(job);
-    }
-    Ok(NcMachineRun { rows, schedule: builder.build()? })
-}
-
-/// Replay an NC-PAR dispatch log with per-machine growth-law event queues
-/// as pool tasks, honouring the recorded start times.
+/// Replay an NC-PAR dispatch log: each job's growth-law service at its
+/// recorded `start` and `K_j`, evaluated as pool work. No machine history
+/// is re-simulated, so the replay is linear in the jobs.
 ///
-/// Bitwise identical to [`crate::run_nc_par`] for a [`DispatchLog::nc_par`]
-/// log: per-job energies are collected into a job-id-indexed array and
-/// summed in job-id order — the exact accumulation order of the serial
-/// loop's `energy +=` — and the flow sums run over the same job-id-indexed
-/// vectors the serial runner sums.
+/// Energies and flows are summed in job-id order, so the objective is the
+/// same bits at every pool width. A log that records no `K_j` (an immediate-dispatch log) is a
+/// typed error.
 pub fn replay_nc(
     instance: &Instance,
     law: PowerLaw,
     log: &DispatchLog,
     pool: &Pool,
 ) -> SimResult<ParOutcome> {
-    let machines = log.machines();
-    if log.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "dispatch log length mismatch" });
-    }
-    let mut queues: Vec<Vec<(usize, Job, f64)>> = vec![Vec::new(); machines];
-    for e in log.entries() {
-        queues[e.machine].push((e.job, *instance.job(e.job), e.start));
-    }
-    let results = pool.map(&queues, |q| replay_nc_machine(law, q));
+    check_len(instance, log)?;
+    let served = pool.map_chunked(log.entries(), 0, |e| {
+        let k_j = e.base_power.ok_or(SimError::InvalidInstance {
+            reason: "replay_nc needs a log that records K_j (DispatchLog::nc_par)",
+        })?;
+        let job = instance.job(e.job);
+        Ok(GrowthService::new(law, k_j, job, "replay_nc: service time")?.serve(e.job, job, e.start))
+    });
 
-    let n = instance.len();
-    let mut energy_by_job = vec![0.0f64; n];
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0f64; n];
-    let mut int_flow = vec![0.0f64; n];
-    let mut schedules = Vec::with_capacity(machines);
-    for res in results {
-        let run = res?;
-        for (id, e, c, ff, fi) in run.rows {
-            energy_by_job[id] = e;
-            completion[id] = c;
-            frac_flow[id] = ff;
-            int_flow[id] = fi;
-        }
-        schedules.push(run.schedule);
+    // Entries are in job-id order, so this accumulates energy job by job.
+    let mut energy = 0.0;
+    let mut per_job = unserved(instance.len());
+    let mut builders: Vec<ScheduleBuilder> =
+        (0..log.machines()).map(|_| ScheduleBuilder::new(law)).collect();
+    for (e, s) in log.entries().iter().zip(served) {
+        let s = s?;
+        energy += s.energy;
+        per_job.completion[e.job] = s.completion;
+        per_job.frac_flow[e.job] = s.frac_flow;
+        per_job.int_flow[e.job] = s.int_flow;
+        builders[e.machine].push(s.segment);
     }
-    // The serial runner accumulates `energy +=` in global job order (its
-    // loop runs over jobs by id); summing the id-indexed array reproduces
-    // that floating-point sequence bit for bit.
     let objective = Objective {
-        energy: energy_by_job.iter().sum(),
-        frac_flow: frac_flow.iter().sum(),
-        int_flow: int_flow.iter().sum(),
+        energy,
+        frac_flow: per_job.frac_flow.iter().sum(),
+        int_flow: per_job.int_flow.iter().sum(),
     }
     .validated("replay_nc: objective")?;
-    Ok(ParOutcome {
-        assignment: log.assignment(),
-        objective,
-        per_job: PerJob { completion, frac_flow, int_flow },
-        schedules,
-    })
+    let schedules =
+        builders.into_iter().map(ScheduleBuilder::build).collect::<SimResult<Vec<_>>>()?;
+    Ok(ParOutcome { assignment: log.assignment(), objective, per_job, schedules })
 }
 
 /// Sharded C-PAR: serial greedy dispatch (via [`DispatchLog::c_par`]), then
-/// per-machine Algorithm C event queues as pool tasks. Bitwise identical to
-/// [`crate::run_c_par`].
+/// per-machine Algorithm C as pool tasks. Bitwise identical at every pool
+/// width; [`crate::run_c_par`] is this on one inline worker.
 ///
 /// # Examples
 ///
@@ -458,8 +426,8 @@ pub fn run_c_par_sharded(
 }
 
 /// Sharded NC-PAR: serial global-FIFO dispatch (via [`DispatchLog::nc_par`]),
-/// then per-machine growth-law event queues as pool tasks. Bitwise identical
-/// to [`crate::run_nc_par`].
+/// then the growth-law replay as pool work. Bitwise identical at every pool
+/// width; [`crate::run_nc_par`] is this on one inline worker.
 ///
 /// # Examples
 ///
@@ -490,20 +458,6 @@ pub fn run_nc_par_sharded(
 ) -> SimResult<ParOutcome> {
     let log = DispatchLog::nc_par(instance, law, machines)?;
     replay_nc(instance, law, &log, pool)
-}
-
-/// Sharded immediate dispatch: record a policy's decisions, then run
-/// per-machine Algorithm NC event queues as pool tasks. Bitwise identical
-/// to [`crate::run_immediate_dispatch`] for the same policy state.
-pub fn run_immediate_dispatch_sharded(
-    instance: &Instance,
-    law: PowerLaw,
-    machines: usize,
-    policy: &mut dyn ImmediateDispatch,
-    pool: &Pool,
-) -> SimResult<ParOutcome> {
-    let log = DispatchLog::from_policy(instance, machines, policy)?;
-    replay_nc_assigned(instance, law, &log, pool)
 }
 
 /// Gate a fleet outcome with the event-driven cross-machine auditor
@@ -564,10 +518,6 @@ pub fn audit_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::c_par::run_c_par;
-    use crate::dispatch::RoundRobin;
-    use crate::nc_par::{run_nc_par, run_nc_with_assignment};
-    use crate::run_immediate_dispatch;
 
     fn pl(alpha: f64) -> PowerLaw {
         PowerLaw::new(alpha).unwrap()
@@ -585,100 +535,42 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_outcomes_bitwise(a: &ParOutcome, b: &ParOutcome) {
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.objective.energy.to_bits(), b.objective.energy.to_bits());
-        assert_eq!(a.objective.frac_flow.to_bits(), b.objective.frac_flow.to_bits());
-        assert_eq!(a.objective.int_flow.to_bits(), b.objective.int_flow.to_bits());
-        for j in 0..a.per_job.completion.len() {
-            assert_eq!(a.per_job.completion[j].to_bits(), b.per_job.completion[j].to_bits());
-            assert_eq!(a.per_job.frac_flow[j].to_bits(), b.per_job.frac_flow[j].to_bits());
-            assert_eq!(a.per_job.int_flow[j].to_bits(), b.per_job.int_flow[j].to_bits());
-        }
-        assert_eq!(a.schedules.len(), b.schedules.len());
-        for (sa, sb) in a.schedules.iter().zip(&b.schedules) {
-            assert_eq!(sa.segments(), sb.segments());
-        }
-    }
-
     #[test]
     fn log_validation_rejects_malformed_logs() {
-        let e = |job, machine, start| DispatchEntry { job, machine, start };
+        let e = |job, machine, start| DispatchEntry { job, machine, start, base_power: None };
+        let k = |base_power| DispatchEntry { base_power: Some(base_power), ..e(0, 1, 0.5) };
         assert!(DispatchLog::new(0, vec![]).is_err());
         assert!(DispatchLog::new(2, vec![e(1, 0, 0.0)]).is_err()); // wrong id order
         assert!(DispatchLog::new(2, vec![e(0, 2, 0.0)]).is_err()); // machine range
         assert!(DispatchLog::new(2, vec![e(0, 0, f64::NAN)]).is_err()); // bad start
-        assert!(DispatchLog::new(2, vec![e(0, 1, 0.5)]).is_ok());
-    }
-
-    #[test]
-    fn c_par_log_matches_serial_greedy() {
-        let inst = inst();
-        let log = DispatchLog::c_par(&inst, pl(2.0), 3).unwrap();
-        let serial = run_c_par(&inst, pl(2.0), 3).unwrap();
-        assert_eq!(log.assignment(), serial.assignment);
-        for (e, job) in log.entries().iter().zip(inst.jobs()) {
-            assert_eq!(e.start, job.release);
+        for bad in [f64::NAN, f64::INFINITY, -1e-300, -1.0] {
+            assert!(DispatchLog::new(2, vec![k(bad)]).is_err(), "K_j = {bad}");
         }
+        assert!(DispatchLog::new(2, vec![e(0, 1, 0.5)]).is_ok());
+        assert!(DispatchLog::new(2, vec![k(0.0)]).is_ok());
+        assert!(DispatchLog::new(2, vec![k(3.5)]).is_ok());
     }
 
     #[test]
-    fn nc_par_log_matches_serial_fifo() {
+    fn logs_record_starts_and_base_powers() {
         let inst = inst();
+        // C-PAR is immediate dispatch: every entry starts at its release and
+        // records no K_j.
+        let log = DispatchLog::c_par(&inst, pl(2.0), 3).unwrap();
+        for (e, job) in log.entries().iter().zip(inst.jobs()) {
+            assert_eq!((e.start, e.base_power), (job.release, None));
+        }
         for k in [1usize, 2, 3, 5] {
             let log = DispatchLog::nc_par(&inst, pl(2.5), k).unwrap();
-            let serial = run_nc_par(&inst, pl(2.5), k).unwrap();
-            assert_eq!(log.assignment(), serial.assignment, "k={k}");
             // NC-PAR starts can sit strictly after release (queueing) but
-            // never before.
+            // never before, and every entry carries its K_j.
             for (e, job) in log.entries().iter().zip(inst.jobs()) {
-                assert!(e.start >= job.release);
+                assert!(e.start >= job.release, "k={k}");
+                assert!(e.base_power.is_some(), "k={k}");
             }
+            // The first job on the fleet starts from an empty history.
+            assert_eq!(log.entries()[0].base_power, Some(0.0));
         }
-    }
-
-    #[test]
-    fn sharded_c_par_is_bitwise_serial() {
-        let inst = inst();
-        for k in [1usize, 2, 4] {
-            for threads in [1usize, 2, 7] {
-                let serial = run_c_par(&inst, pl(2.75), k).unwrap();
-                let sharded =
-                    run_c_par_sharded(&inst, pl(2.75), k, &Pool::with_threads(threads)).unwrap();
-                assert_outcomes_bitwise(&serial, &sharded);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_nc_par_is_bitwise_serial() {
-        let inst = inst();
-        for k in [1usize, 2, 4] {
-            for threads in [1usize, 3, 8] {
-                let serial = run_nc_par(&inst, pl(2.0), k).unwrap();
-                let sharded =
-                    run_nc_par_sharded(&inst, pl(2.0), k, &Pool::with_threads(threads)).unwrap();
-                assert_outcomes_bitwise(&serial, &sharded);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_policy_dispatch_is_bitwise_serial() {
-        let inst = inst();
-        let serial = {
-            let mut p = RoundRobin::default();
-            run_immediate_dispatch(&inst, pl(2.0), 3, &mut p).unwrap()
-        };
-        let sharded = {
-            let mut p = RoundRobin::default();
-            run_immediate_dispatch_sharded(&inst, pl(2.0), 3, &mut p, &Pool::with_threads(2))
-                .unwrap()
-        };
-        assert_outcomes_bitwise(&serial, &sharded);
-        // And against the assignment-based serial path.
-        let fixed = run_nc_with_assignment(&inst, pl(2.0), &serial.assignment, 3).unwrap();
-        assert_outcomes_bitwise(&serial, &fixed);
     }
 
     #[test]
@@ -708,7 +600,15 @@ mod tests {
         let inst = inst();
         let smaller = Instance::new(vec![Job::unit_density(0.0, 1.0)]).unwrap();
         let log = DispatchLog::nc_par(&inst, pl(2.0), 2).unwrap();
-        assert!(replay_nc(&smaller, pl(2.0), &log, &Pool::with_threads(1)).is_err());
+        let pool = Pool::with_threads(1);
+        assert!(replay_nc(&smaller, pl(2.0), &log, &pool).is_err());
+        assert!(replay_c(&smaller, pl(2.0), &log, &pool).is_err());
+        // An immediate-dispatch log records no K_j: NC-PAR cannot replay it.
+        let c_log = DispatchLog::c_par(&inst, pl(2.0), 2).unwrap();
+        assert!(matches!(
+            replay_nc(&inst, pl(2.0), &c_log, &pool),
+            Err(SimError::InvalidInstance { .. })
+        ));
     }
 
     #[test]

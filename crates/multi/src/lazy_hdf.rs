@@ -13,16 +13,16 @@
 //! * whenever a machine is available, it takes the queue head,
 //! * each machine runs its jobs one at a time with the uniform-case growth
 //!   rule applied machine-locally (`P = W^{(C)}(r_j^-)` over the machine's
-//!   own past, plus the job's processed weight) — the job's *own* rounded
-//!   density drives the curve.
+//!   jobs released no later than `r_j`, plus the job's processed weight) —
+//!   the job's *own* rounded density drives the curve.
+//!
+//! The service itself is NC-PAR's `GrowthService`; only the dispatch rule
+//! differs.
 
 use crate::c_par::{validate_machines, ParOutcome};
-use ncss_core::nc_uniform::base_power;
-use ncss_sim::kernel::GrowthKernel;
-use ncss_sim::{
-    Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, Segment, SimError, SimResult,
-    SpeedLaw,
-};
+use crate::nc_par::GrowthService;
+use ncss_core::nc_uniform::base_power_over_history;
+use ncss_sim::{Instance, Job, Objective, PerJob, PowerLaw, ScheduleBuilder, SimError, SimResult};
 
 /// Run lazy-HDF dispatch with per-machine growth-rule processing.
 pub fn run_lazy_hdf(
@@ -36,12 +36,13 @@ pub fn run_lazy_hdf(
     let jobs = instance.jobs();
     let n = jobs.len();
     let mut assignment = vec![usize::MAX; n];
-    let mut start_time = vec![f64::NAN; n];
     let mut completion = vec![f64::NAN; n];
     let mut frac_flow = vec![0.0; n];
     let mut int_flow = vec![0.0; n];
     let mut energy = 0.0;
     let mut avail = vec![0.0f64; machines];
+    // Each machine's (rounded) jobs so far, kept in release order; HDF may
+    // dispatch a later, denser job before an earlier one.
     let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
     let mut builders: Vec<ScheduleBuilder> =
         (0..machines).map(|_| ScheduleBuilder::new(law)).collect();
@@ -100,39 +101,23 @@ pub fn run_lazy_hdf(
         queued.remove(qpos);
         let t_start = t.max(m_avail).max(jobs[j].release);
         assignment[j] = m;
-        start_time[j] = t_start;
 
-        // Growth rule over this machine's own history, with the job's
-        // rounded density driving the curve.
-        let mut with_j = assigned[m].clone();
-        with_j.push(*rounded.job(j));
-        let machine_inst = Instance::new(with_j)?;
-        let k_j = base_power(&machine_inst, law, machine_inst.len() - 1)?;
-        let rho = rounded.job(j).density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
-        let tau = kernel.time_to_volume(jobs[j].volume);
-        if !tau.is_finite() {
-            // Guard before `avail` is poisoned: a NaN availability would
-            // panic the machine-selection comparator on the next iteration.
-            return Err(SimError::Numeric { what: "run_lazy_hdf: service time", value: tau });
-        }
-        energy += kernel.energy(tau);
-        // Flow accounting with ORIGINAL densities.
-        frac_flow[j] = jobs[j].density * jobs[j].volume * (t_start - jobs[j].release)
-            + jobs[j].density * (jobs[j].volume * tau - kernel.volume_integral(tau));
-        completion[j] = t_start + tau;
-        int_flow[j] = jobs[j].weight() * (completion[j] - jobs[j].release);
-        // The emitted segment carries the *rounded* density — the curve the
-        // machine actually drives — so the auditor's quadrature reproduces
-        // the reported energy and delivered volume exactly.
-        builders[m].push(Segment::new(
-            t_start,
-            completion[j],
-            Some(j),
-            SpeedLaw::Growth { u0: k_j, rho },
-        ));
-        avail[m] = completion[j];
-        assigned[m].push(*rounded.job(j));
+        // Growth rule over this machine's jobs released no later than r_j,
+        // with the job's rounded density driving the curve.
+        let job = rounded.job(j);
+        let cut = assigned[m].partition_point(|i| i.release <= job.release);
+        let k_j = base_power_over_history(&assigned[m][..cut], job.release, law)?;
+        let service = GrowthService::new(law, k_j, job, "run_lazy_hdf: service time")?;
+        // Flows with the ORIGINAL density; the segment carries the rounded
+        // curve the machine actually drives.
+        let served = service.serve(j, &jobs[j], t_start);
+        energy += served.energy;
+        frac_flow[j] = served.frac_flow;
+        completion[j] = served.completion;
+        int_flow[j] = served.int_flow;
+        builders[m].push(served.segment);
+        avail[m] = served.completion;
+        assigned[m].insert(cut, *job);
         done += 1;
     }
 

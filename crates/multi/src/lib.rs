@@ -5,9 +5,10 @@
 //! * [`nc_par`] — non-clairvoyant NC-PAR: global FIFO queue, dispatch on
 //!   machine availability, per-machine Algorithm NC (Theorem 17),
 //! * [`dispatch`] — immediate-dispatch policies behind a volume-blind trait,
-//! * [`fleet`] — sharded fleet execution: a deterministic [`fleet::DispatchLog`]
-//!   feeds per-machine event queues run as `ncss-pool` tasks, bitwise equal
-//!   to the serial runners and tractable to k = 4096,
+//! * [`fleet`] — the one execution path: a deterministic
+//!   [`fleet::DispatchLog`] replayed over `ncss-pool`, bitwise equal at
+//!   every pool width and tractable to k = 4096; every runner above is a
+//!   log replayed on one inline worker,
 //! * [`lower_bound`] — the adaptive-adversary game realising the paper's
 //!   `Ω(k^{1−1/α})` lower bound for immediate dispatch.
 
@@ -23,8 +24,8 @@ pub mod nc_par;
 pub use c_par::{run_c_par, ParOutcome, MAX_MACHINES};
 pub use dispatch::{collect_assignment, run_immediate_dispatch, ImmediateDispatch, LeastCount, RoundRobin, SeededRandom};
 pub use fleet::{
-    audit_fleet, replay_c, replay_nc, replay_nc_assigned, run_c_par_sharded,
-    run_immediate_dispatch_sharded, run_nc_par_sharded, DispatchEntry, DispatchLog,
+    audit_fleet, replay_c, replay_nc, replay_nc_assigned, run_c_par_sharded, run_nc_par_sharded,
+    DispatchEntry, DispatchLog,
 };
 pub use lazy_hdf::run_lazy_hdf;
 pub use lower_bound::{fit_loglog_slope, immediate_dispatch_game, GameOutcome};

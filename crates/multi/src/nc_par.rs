@@ -6,94 +6,84 @@
 //! queue head is assigned to it; once started, a job never migrates. Each
 //! machine runs Algorithm NC over the jobs it has been assigned, so a
 //! machine serves one job at a time with the growth-law speed rule
-//! `P(s) = W^{(C)}(r_j^-) + W̆_j(t)`, where the inner C run is over that
-//! machine's own previously-assigned jobs.
+//! `P(s) = K_j + W̆_j(t)`, where `K_j = W^{(C)}(r_j^-)` comes from a C run
+//! over that machine's own previously-assigned jobs.
+//!
+//! The runners here are thin: [`run_nc_par`] is the
+//! [`DispatchLog::nc_par`] log replayed on one inline worker, and the
+//! fixed-assignment runners replay [`DispatchLog::from_assignment`]. The
+//! one implementation of a job's growth-law service, `GrowthService`, is
+//! shared by the NC-PAR dispatcher, the NC-PAR replay and
+//! [`crate::run_lazy_hdf`].
 //!
 //! Lemma 20 — verified by the tests and experiment E6 — shows the resulting
 //! assignment is *identical* to clairvoyant C-PAR's, which is what lets the
 //! single-machine Lemmas 3 and 4 lift to Theorem 17.
 
-use crate::c_par::{merge_per_job, remap_schedule, split_by_assignment, validate_machines, ParOutcome};
+use crate::c_par::ParOutcome;
+use crate::fleet::{replay_nc_assigned, replay_split, run_nc_par_sharded, DispatchLog};
+use ncss_pool::Pool;
 use ncss_sim::kernel::GrowthKernel;
-use ncss_sim::{
-    Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult, SpeedLaw,
-};
+use ncss_sim::{Instance, Job, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 
-/// Run NC-PAR on `machines` identical machines (uniform densities only,
-/// matching the paper's Theorem 17 setting).
-pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
-    validate_machines(machines)?;
-    if !instance.is_uniform_density() {
-        return Err(SimError::NonUniformDensity);
-    }
-    let jobs = instance.jobs();
-    let n = jobs.len();
-    let mut assignment = vec![0usize; n];
-    // Per machine: availability time, assigned jobs so far, and timeline.
-    let mut avail = vec![0.0f64; machines];
-    let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
-    let mut builders: Vec<ScheduleBuilder> =
-        (0..machines).map(|_| ScheduleBuilder::new(law)).collect();
-    let mut completion = vec![f64::NAN; n];
-    let mut frac_flow = vec![0.0; n];
-    let mut int_flow = vec![0.0; n];
-    let mut energy = 0.0;
+/// One job's service on the growth-law curve `P(s) = K_j + processed
+/// weight`, started from base power `K_j`.
+pub(crate) struct GrowthService {
+    kernel: GrowthKernel,
+    /// Time the curve takes to deliver the job's volume.
+    pub(crate) tau: f64,
+}
 
-    // Jobs leave the global FIFO queue in release order; the dispatch time
-    // of the queue head is max(its release, earliest machine availability),
-    // and the machine is the lowest-indexed one available then.
-    for (j, job) in jobs.iter().enumerate() {
-        let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
-        let t_start = job.release.max(earliest);
-        let m = (0..machines)
-            .find(|&m| avail[m] <= t_start + 1e-12)
-            .expect("some machine is available at t_start");
-        assignment[j] = m;
+/// What one `GrowthService` contributes to a run.
+pub(crate) struct Served {
+    pub(crate) energy: f64,
+    pub(crate) completion: f64,
+    pub(crate) frac_flow: f64,
+    pub(crate) int_flow: f64,
+    pub(crate) segment: Segment,
+}
 
-        // K_j = W^C(r_j^-) over this machine's previously-assigned jobs,
-        // with simultaneous releases handled as the distinct-release limit
-        // (same tie semantics as the single-machine algorithm). The FIFO
-        // dispatch order keeps each machine's history release-sorted, so
-        // the history form of `base_power` applies directly.
-        let k_j = ncss_core::nc_uniform::base_power_over_history(&assigned[m], job.release, law)?;
-        let rho = job.density;
-        let kernel = GrowthKernel { law, u0: k_j, rho };
+impl GrowthService {
+    /// Serve `job`'s volume from base power `k_j` on a curve at `job`'s
+    /// density. A non-finite service time is a typed error naming `what`,
+    /// raised before it can poison a machine's availability.
+    pub(crate) fn new(law: PowerLaw, k_j: f64, job: &Job, what: &'static str) -> SimResult<Self> {
+        let kernel = GrowthKernel { law, u0: k_j, rho: job.density };
         let tau = kernel.time_to_volume(job.volume);
         if !tau.is_finite() {
-            // Guard before `avail` is poisoned: a NaN availability would
-            // panic the machine-selection `expect` on the next job.
-            return Err(SimError::Numeric { what: "run_nc_par: service time", value: tau });
+            return Err(SimError::Numeric { what, value: tau });
         }
-        energy += kernel.energy(tau);
-        frac_flow[j] = rho * job.volume * (t_start - job.release)
-            + rho * (job.volume * tau - kernel.volume_integral(tau));
-        completion[j] = t_start + tau;
-        int_flow[j] = job.weight() * (completion[j] - job.release);
-        builders[m].push(Segment::new(
-            t_start,
-            completion[j],
-            Some(j),
-            SpeedLaw::Growth { u0: k_j, rho },
-        ));
-        avail[m] = completion[j];
-        assigned[m].push(*job);
+        Ok(Self { kernel, tau })
     }
 
-    let objective = Objective {
-        energy,
-        frac_flow: frac_flow.iter().sum(),
-        int_flow: int_flow.iter().sum(),
+    /// Job `id` served from `start`. Flows are accounted with the job's
+    /// own density; the segment carries the curve's density (lazy HDF
+    /// drives the curve at a rounded density), so the auditor's
+    /// quadrature reproduces the reported energy and volume.
+    pub(crate) fn serve(&self, id: usize, job: &Job, start: f64) -> Served {
+        let (tau, k) = (self.tau, &self.kernel);
+        let completion = start + tau;
+        Served {
+            energy: k.energy(tau),
+            completion,
+            frac_flow: job.density * job.volume * (start - job.release)
+                + job.density * (job.volume * tau - k.volume_integral(tau)),
+            int_flow: job.weight() * (completion - job.release),
+            segment: Segment::new(
+                start,
+                completion,
+                Some(id),
+                SpeedLaw::Growth { u0: k.u0, rho: k.rho },
+            ),
+        }
     }
-    .validated("run_nc_par: objective")?;
-    let schedules =
-        builders.into_iter().map(ScheduleBuilder::build).collect::<SimResult<Vec<_>>>()?;
-    Ok(ParOutcome {
-        assignment,
-        objective,
-        per_job: PerJob { completion, frac_flow, int_flow },
-        schedules,
-    })
+}
+
+/// Run NC-PAR on `machines` identical machines (uniform densities only,
+/// matching the paper's Theorem 17 setting): the global-FIFO dispatch log
+/// replayed on one inline worker ([`crate::fleet::run_nc_par_sharded`]).
+pub fn run_nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<ParOutcome> {
+    run_nc_par_sharded(instance, law, machines, &Pool::with_threads(1))
 }
 
 /// Run per-machine Algorithm NC under a **fixed** assignment (used by the
@@ -104,24 +94,8 @@ pub fn run_nc_with_assignment(
     assignment: &[usize],
     machines: usize,
 ) -> SimResult<ParOutcome> {
-    if assignment.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
-    }
-    let parts = split_by_assignment(instance, assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
-        let run = ncss_core::run_nc_uniform(inst, law)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(instance.len(), &parts, &per_machine);
-    let objective = objective.validated("run_nc_with_assignment: objective")?;
-    Ok(ParOutcome { assignment: assignment.to_vec(), objective, per_job, schedules })
+    let log = DispatchLog::from_assignment(instance, assignment, machines)?;
+    replay_nc_assigned(instance, law, &log, &Pool::with_threads(1))
 }
 
 /// Run per-machine **non-uniform** Algorithm NC under a fixed assignment —
@@ -134,29 +108,13 @@ pub fn run_nonuniform_with_assignment(
     machines: usize,
     params: ncss_core::NonUniformParams,
 ) -> SimResult<ParOutcome> {
-    if assignment.len() != instance.len() {
-        return Err(SimError::InvalidInstance { reason: "assignment length mismatch" });
-    }
-    let parts = split_by_assignment(instance, assignment, machines)?;
-    let mut objective = Objective::default();
-    let mut per_machine = Vec::with_capacity(machines);
-    let mut schedules = Vec::with_capacity(machines);
-    for (inst, ids) in &parts {
-        if inst.is_empty() {
-            per_machine.push(PerJob { completion: vec![], frac_flow: vec![], int_flow: vec![] });
-            schedules.push(Schedule::new(law, vec![])?);
-            continue;
-        }
-        let run = ncss_core::run_nc_nonuniform(inst, law, params)?;
-        objective.energy += run.objective.energy;
-        objective.frac_flow += run.objective.frac_flow;
-        objective.int_flow += run.objective.int_flow;
-        per_machine.push(run.per_job);
-        schedules.push(remap_schedule(&run.schedule, ids)?);
-    }
-    let per_job = merge_per_job(instance.len(), &parts, &per_machine);
-    let objective = objective.validated("run_nonuniform_with_assignment: objective")?;
-    Ok(ParOutcome { assignment: assignment.to_vec(), objective, per_job, schedules })
+    let log = DispatchLog::from_assignment(instance, assignment, machines)?;
+    let run = |inst: &Instance| {
+        let r = ncss_core::run_nc_nonuniform(inst, law, params)?;
+        Ok((r.objective, r.per_job, r.schedule))
+    };
+    let what = "run_nonuniform_with_assignment: objective";
+    replay_split(instance, &log, &Pool::with_threads(1), run, what)
 }
 
 #[cfg(test)]
@@ -247,6 +205,18 @@ mod tests {
         let nc1 = run_nc_par(&inst, pl(2.0), 1).unwrap();
         let nc = ncss_core::run_nc_uniform(&inst, pl(2.0)).unwrap();
         assert!(approx_eq(nc1.objective.fractional(), nc.objective.fractional(), 1e-9));
+    }
+
+    #[test]
+    fn nonuniform_with_idle_machines_is_the_single_machine_run() {
+        let inst = Instance::new(vec![Job::new(0.0, 1.0, 2.0), Job::new(0.5, 1.0, 5.0)]).unwrap();
+        let params = ncss_core::NonUniformParams::recommended(3.0);
+        let out = run_nonuniform_with_assignment(&inst, pl(3.0), &[0, 0], 3, params).unwrap();
+        let one = ncss_core::run_nc_nonuniform(&inst, pl(3.0), params).unwrap();
+        assert_eq!(out.objective.energy.to_bits(), one.objective.energy.to_bits());
+        assert_eq!(out.objective.frac_flow.to_bits(), one.objective.frac_flow.to_bits());
+        assert_eq!(out.schedules[0].segments(), one.schedule.segments());
+        assert!(out.schedules[1..].iter().all(|s| s.segments().is_empty()));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 #      that alpha=2 compiles the specialised quadratic power kernel and
 #      that a mis-selected kernel (--corrupt kernel) trips the
 #      energy-recomputed check
-#   7. fleet smoke: the sharded multi-machine runners (dispatch log +
-#      per-machine pool tasks, DESIGN.md §12) must match the serial
-#      runners bitwise and pass the incremental cross-machine audit;
+#   7. fleet smoke: each dispatch log replayed over the pool (DESIGN.md
+#      §12) must match its one-worker replay, the serial runner, bitwise
+#      and pass the incremental cross-machine audit;
 #      a corrupted outcome must come back non-zero naming the tripped
 #      check; with NCSS_SOAK=1 the full k-sweep study regenerates
 #      BENCH_fleet.json and bench-diffs it against the committed
@@ -64,8 +64,8 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity"
-cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference"
+cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli
@@ -113,14 +113,15 @@ if "$cli" audit --algorithm nc-par --machines 3 --input "$trace" --alpha 2 \
 fi
 echo "multi audit smoke passed"
 
-echo "==> fleet smoke (sharded runners vs serial, incremental audit gate)"
-# Every sharded algorithm on a small fleet must reproduce the serial runner
-# bit for bit (the command itself enforces --check-serial 1 by default) and
-# pass the event-driven cross-machine audit.
+echo "==> fleet smoke (N-worker vs one-worker replay, incremental audit gate)"
+# Every algorithm's dispatch log replayed on several workers must reproduce
+# the one-worker replay, which is the serial runner, bit for bit (the
+# command itself enforces --check-serial 1 by default) and pass the
+# event-driven cross-machine audit.
 for algo in c-par nc-par dispatch; do
     "$cli" fleet --algorithm "$algo" --machines 4 --threads 3 --input "$trace" \
         --alpha 2 --audit incremental > /dev/null \
-        || { echo "FAIL: sharded $algo diverged from serial or failed audit" >&2; exit 1; }
+        || { echo "FAIL: sharded $algo diverged from one-worker replay or failed audit" >&2; exit 1; }
 done
 # Mandatory-red probe: a corrupted sharded outcome must exit non-zero AND
 # name the tripped check in the report.

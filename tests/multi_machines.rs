@@ -220,3 +220,80 @@ fn double_service_escapes_the_outcome_audit_but_not_the_multi_audit() {
         "expected a no-double-service failure:\n{rendered}"
     );
 }
+
+/// Lazy HDF's `K_j` is C's remaining weight over the machine's jobs
+/// released no later than `r_j`. Here HDF serves the later, denser job 2
+/// before job 1, so job 1's curve must start from job 0 alone, not count
+/// its own weight.
+#[test]
+fn lazy_hdf_base_power_ignores_later_releases_served_first() {
+    let law = PowerLaw::new(2.0).unwrap();
+    let inst = Instance::new(vec![
+        Job::new(0.0, 5.0, 1.0),
+        Job::new(0.1, 1.0, 1.0),
+        Job::new(0.2, 1.0, 8.0),
+    ])
+    .unwrap();
+    let out = ncss::multi::run_lazy_hdf(&inst, law, 1, 2.0).unwrap();
+    assert!(out.per_job.completion[2] < out.per_job.completion[1], "HDF order");
+    let u0_of = |id| {
+        out.schedules[0]
+            .segments()
+            .iter()
+            .find_map(|s| match (s.job, s.law) {
+                (Some(j), ncss::sim::SpeedLaw::Growth { u0, .. }) if j == id => Some(u0),
+                _ => None,
+            })
+            .expect("job served on the growth curve")
+    };
+    let want = run_c(&Instance::new(vec![*inst.job(0)]).unwrap(), law)
+        .unwrap()
+        .remaining_weight_before(0.1);
+    assert!((want - 4.7789).abs() < 1e-4, "C's remaining weight at 0.1- is {want}");
+    assert_eq!(u0_of(1).to_bits(), want.to_bits(), "job 1's K_j = {}", u0_of(1));
+}
+
+/// At α = 2, scaling volumes by `a` and releases by `√a` is an exact change
+/// of units: C-PAR and NC-PAR must make the same decisions, their
+/// fractional objectives must scale by `a√a`, and no machine may serve two
+/// jobs at once.
+#[test]
+fn dispatch_is_invariant_under_a_change_of_units() {
+    let law = PowerLaw::new(2.0).unwrap();
+    let unit = [(0.0, 1.0), (0.2, 2.0), (0.2, 0.4), (0.9, 1.1), (2.5, 0.8), (2.5, 0.8)];
+    let scaled = |a: f64| {
+        let jobs = unit.iter().map(|&(r, v)| Job::unit_density(r * a.sqrt(), v * a)).collect();
+        Instance::new(jobs).unwrap()
+    };
+    type Runner = fn(&Instance, PowerLaw, usize) -> SimResult<ParOutcome>;
+    let k = 3;
+    let runners: [(&str, Runner); 2] = [("c-par", run_c_par), ("nc-par", run_nc_par)];
+    for (name, run) in runners {
+        let base = run(&scaled(1.0), law, k).unwrap();
+        for a in [1e-8, 1e-20, 1e-40, 1e-200] {
+            let out = run(&scaled(a), law, k).unwrap();
+            assert_eq!(out.assignment, base.assignment, "{name} a={a:e}");
+            let frac = out.objective.fractional() / (a * a.sqrt());
+            assert!(
+                rel_diff(frac, base.objective.fractional()) < 1e-9,
+                "{name} a={a:e}: {frac} vs {}",
+                base.objective.fractional()
+            );
+            // Overlap checked on the timelines directly, at the scale of
+            // the run: a start may precede the previous end by the
+            // dispatcher's relative tie slack, never by more.
+            for (m, sched) in out.schedules.iter().enumerate() {
+                for w in sched.segments().windows(2) {
+                    assert!(
+                        w[0].end - w[1].start <= 1e-11 * w[0].end.abs(),
+                        "{name} a={a:e} machine {m}: [{}, {}] overlaps [{}, {}]",
+                        w[0].start,
+                        w[0].end,
+                        w[1].start,
+                        w[1].end
+                    );
+                }
+            }
+        }
+    }
+}
