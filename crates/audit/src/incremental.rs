@@ -54,7 +54,7 @@
 //! codec), so a killed-and-resumed run's final report equals the
 //! uninterrupted run's report bit for bit (`tests/incremental_resume.rs`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::closed_form;
 use crate::quad::integrate;
@@ -417,7 +417,7 @@ impl IncrementalAudit {
             }
         }
 
-        let time_tol = self.config.time_tol * (1.0 + self.horizon.abs());
+        let time_tol = self.config.time_slack(self.horizon);
         if !(self.wf.value.is_finite() && self.wf.value <= time_tol) {
             return Some(Trip {
                 check: "segments-wellformed",
@@ -620,7 +620,7 @@ impl IncrementalAudit {
         let mut report = AuditReport::default();
         let mut clock = Stopwatch::new();
         let tol = self.config.rel_tol;
-        let time_tol = self.config.time_tol * (1.0 + self.horizon.abs());
+        let time_tol = self.config.time_slack(self.horizon);
 
         // Jobs that never completed: audit them now (reported completion
         // NaN), ascending id — the batch scan's order — so lost jobs
@@ -855,11 +855,42 @@ impl IncrementalAudit {
 struct MachineState {
     seg_count: u64,
     prev_end: f64,
-    last_end: f64,
     wf: Worst,
     rel: Worst,
     energy: f64,
     pending: Vec<(u64, u64, Segment)>,
+}
+
+/// Exact maximum over per-machine values under point updates: a complete
+/// binary max-tree, O(log k) per update and O(1) per read. A value may
+/// go down as well as up (a tampered timeline can end earlier than its
+/// previous segment), so a running maximum would not do.
+#[derive(Debug, Clone)]
+struct MaxTree {
+    leaves: usize,
+    nodes: Vec<f64>,
+}
+
+impl MaxTree {
+    fn new(len: usize) -> Self {
+        let leaves = len.next_power_of_two();
+        Self { leaves, nodes: vec![0.0; 2 * leaves] }
+    }
+
+    fn set(&mut self, i: usize, value: f64) {
+        let mut p = self.leaves + i;
+        self.nodes[p] = value;
+        while p > 1 {
+            p /= 2;
+            self.nodes[p] = self.nodes[2 * p].max(self.nodes[2 * p + 1]);
+        }
+    }
+
+    /// `fold(0.0, f64::max)` over the values, bit for bit: `f64::max`
+    /// skips NaN, and every value is folded with `0.0`.
+    fn max(&self) -> f64 {
+        self.nodes[1].max(0.0)
+    }
 }
 
 /// A fleet job's cross-machine state while active: static fields plus its
@@ -889,6 +920,12 @@ pub struct IncrementalMultiAudit {
     config: AuditConfig,
     laws: Vec<PowerLaw>,
     machines: Vec<MachineState>,
+    /// `|end|` of each machine's latest segment; the fleet horizon is
+    /// their maximum.
+    last_ends: MaxTree,
+    /// Machines holding segments of jobs not yet released, in machine
+    /// order.
+    pending_machines: BTreeSet<usize>,
     peak_speed: f64,
     released: u64,
     completed: u64,
@@ -917,15 +954,18 @@ impl IncrementalMultiAudit {
             .map(|_| MachineState {
                 seg_count: 0,
                 prev_end: f64::NEG_INFINITY,
-                last_end: 0.0,
-                wf: Worst { value: 0.0, detail: String::from("all segments ordered") },
-                rel: Worst { value: 0.0, detail: String::from("no early service") },
+                // A machine's details are read only after a fold has set a
+                // positive residual, so a clean machine allocates none.
+                wf: Worst { value: 0.0, detail: String::new() },
+                rel: Worst { value: 0.0, detail: String::new() },
                 energy: 0.0,
                 pending: Vec::new(),
             })
             .collect();
         Self {
             config,
+            last_ends: MaxTree::new(laws.len()),
+            pending_machines: BTreeSet::new(),
             laws,
             machines,
             peak_speed: 0.0,
@@ -954,7 +994,7 @@ impl IncrementalMultiAudit {
     }
 
     fn horizon(&self) -> f64 {
-        self.machines.iter().map(|m| m.last_end.abs()).fold(0.0f64, f64::max)
+        self.last_ends.max()
     }
 
     fn resolution(&self) -> f64 {
@@ -972,7 +1012,11 @@ impl IncrementalMultiAudit {
         let _p = PhaseScope::enter(Phase::Audit);
         self.released = self.released.max(id as u64 + 1);
         let mut segs = Vec::new();
-        for (m, ms) in self.machines.iter_mut().enumerate() {
+        // Only machines that served a job before its release hold pending
+        // segments; honest fleets have none, so this visits no machine.
+        let machines = &mut self.machines;
+        self.pending_machines.retain(|&m| {
+            let ms = &mut machines[m];
             let mut i = 0;
             while i < ms.pending.len() {
                 if ms.pending[i].1 == id as u64 {
@@ -986,7 +1030,8 @@ impl IncrementalMultiAudit {
                     i += 1;
                 }
             }
-        }
+            !ms.pending.is_empty()
+        });
         self.active.insert(
             id,
             MultiActiveJob {
@@ -1016,7 +1061,7 @@ impl IncrementalMultiAudit {
         let v = if bad_times { f64::INFINITY } else { inversion.max(overlap).max(0.0) };
         ms.wf.fold(v, || format!("segment {i}: [{:.6}, {:.6}]", seg.start, seg.end));
         ms.prev_end = ms.prev_end.max(seg.end);
-        ms.last_end = seg.end;
+        self.last_ends.set(m, seg.end.abs());
 
         self.peak_speed = self
             .peak_speed
@@ -1039,10 +1084,11 @@ impl IncrementalMultiAudit {
                 job.segs.push((m, i, seg));
             } else {
                 self.machines[m].pending.push((i, j as u64, seg));
+                self.pending_machines.insert(m);
             }
         }
 
-        let time_tol = self.config.time_tol * (1.0 + self.horizon());
+        let time_tol = self.config.time_slack(self.horizon());
         let wf = &self.machines[m].wf;
         if !(wf.value.is_finite() && wf.value <= time_tol) {
             return Some(Trip {
@@ -1187,7 +1233,7 @@ impl IncrementalMultiAudit {
         self.rep_int += int_flow;
 
         let tol = self.config.rel_tol;
-        let time_tol = self.config.time_tol * (1.0 + self.horizon());
+        let time_tol = self.config.time_slack(self.horizon());
         if !(self.nds.value.max(0.0) <= time_tol && self.nds.value.is_finite() || self.nds.value == f64::NEG_INFINITY)
         {
             return Some(Trip {
@@ -1221,18 +1267,18 @@ impl IncrementalMultiAudit {
         let mut clock = Stopwatch::new();
         let tol = self.config.rel_tol;
         let pl = self.law();
-        let time_tol = self.config.time_tol * (1.0 + self.horizon());
+        let time_tol = self.config.time_slack(self.horizon());
 
         let leftover: Vec<JobId> = self.active.keys().copied().collect();
         for id in leftover {
             let _ = self.on_complete(id, f64::NAN, f64::NAN, f64::NAN);
             self.completed -= 1;
         }
-        for m in 0..self.machines.len() {
-            if let Some(&(idx, j, _)) = self.machines[m].pending.first() {
-                self.machines[m].rel.value = f64::INFINITY;
-                self.machines[m].rel.detail =
-                    format!("segment {idx} serves unknown job {j}");
+        for &m in &self.pending_machines {
+            let ms = &mut self.machines[m];
+            if let Some(&(idx, j, _)) = ms.pending.first() {
+                ms.rel.value = f64::INFINITY;
+                ms.rel.detail = format!("segment {idx} serves unknown job {j}");
             }
         }
 

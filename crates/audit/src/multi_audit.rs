@@ -81,7 +81,7 @@ impl MultiAudit {
         // empty segment set to zero, so the fallback is inert.
         let pl = schedules.first().map_or_else(PowerLaw::cube, Schedule::power_law);
         let horizon = schedules.iter().map(|s| s.end_time().abs()).fold(0.0f64, f64::max);
-        let time_tol = self.config.time_tol * (1.0 + horizon);
+        let time_tol = self.config.time_slack(horizon);
 
         // Fold order-preserved per-machine `(residual, detail)` rows into
         // the single worst row, serially, so the verdict is identical for

@@ -19,8 +19,9 @@ pub struct AuditConfig {
     /// of the recomputed objective components, per-job volumes, and
     /// completion times.
     pub rel_tol: f64,
-    /// Absolute slack allowed on event-level time comparisons (overlap,
-    /// release-before-service), per unit of schedule horizon.
+    /// Slack allowed on event-level time comparisons (overlap,
+    /// release-before-service), per unit of schedule horizon; see
+    /// [`AuditConfig::time_slack`].
     pub time_tol: f64,
     /// Worker count for the re-derivation fan-out: `None` sizes to the
     /// machine ([`Pool::auto`]), `Some(k)` forces exactly `k` workers.
@@ -55,6 +56,26 @@ impl AuditConfig {
     #[must_use]
     pub fn pool(&self) -> Pool {
         self.threads.map_or_else(Pool::auto, Pool::with_threads)
+    }
+
+    /// The slack on time comparisons for a schedule ending at `horizon`:
+    /// `time_tol · (1 + |horizon|)` at or above magnitude 1, and
+    /// `time_tol · 2|horizon|` below it, the same shape as the dispatchers'
+    /// tie slack. Every auditor, batch and incremental, judges its
+    /// time-axis checks against this one floor. Below magnitude 1 it is
+    /// relative, so a rescaled schedule's overlap cannot hide under it;
+    /// at or above 1 it is the absolute floor it always was.
+    ///
+    /// ```
+    /// use ncss_audit::AuditConfig;
+    /// let config = AuditConfig::default();
+    /// assert_eq!(config.time_slack(3.0), 1e-9 * 4.0);
+    /// assert_eq!(config.time_slack(1e-30), 1e-9 * 2e-30);
+    /// ```
+    #[must_use]
+    pub fn time_slack(&self, horizon: f64) -> f64 {
+        let h = horizon.abs();
+        self.time_tol * (h + h.min(1.0))
     }
 }
 
@@ -288,8 +309,7 @@ impl ScheduleAudit {
         let pool = self.config.pool();
         let pl = schedule.power_law();
         let n = instance.len();
-        let horizon_scale = 1.0 + schedule.end_time().abs();
-        let time_tol = self.config.time_tol * horizon_scale;
+        let time_tol = self.config.time_slack(schedule.end_time());
 
         let (worst, detail) = wellformed_residual(schedule.segments());
         report.record_timed("segments-wellformed", worst, time_tol, detail, clock.lap());

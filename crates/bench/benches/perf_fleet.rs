@@ -1,8 +1,8 @@
-//! Fleet k-sweep: the sharded C-PAR/NC-PAR replay across k ∈ {2..4096}
-//! plus the `Ω(k^{1−1/α})` dispatch-degradation study, writing
-//! `BENCH_fleet.json` (schema ncss-bench/5, with `metrics` columns).
+//! Fleet k-sweep: the sharded C-PAR/NC-PAR replay and whole cells across
+//! k ∈ {2..4096} plus the `Ω(k^{1−1/α})` dispatch-degradation study,
+//! writing `BENCH_fleet.json` (schema ncss-bench/5, with `metrics` columns).
 //!
-//! Two row families (methodology in EXPERIMENTS.md, "Fleet k-sweep"):
+//! Three row families (methodology in EXPERIMENTS.md, "Fleet k-sweep"):
 //!
 //! * `fleet_{c,nc}_par/<trace>xK` — the committed golden traces under
 //!   `traces/` are tiled (period-shifted copies, densities normalised to 1
@@ -16,6 +16,12 @@
 //!   `frac_objective`, plus on NC rows `degradation_vs_c_par`
 //!   (frac NC-PAR ÷ frac C-PAR at the same k) and `k_pow_bound`
 //!   (`k^{1−1/α}` — the paper's dispatch lower-bound envelope).
+//!
+//! * `fleet_cell_{c,nc}_par/<trace>xK` — the same instances, timing the
+//!   whole cell a user runs: the serial dispatch that builds the log, the
+//!   sharded replay, and the `audit_fleet` gate. This is the "ms per fleet
+//!   cell" of ROADMAP item 1; the NC-PAR/C-PAR ratio of these rows at one k
+//!   is the dispatcher-inclusive cost of non-clairvoyance.
 //!
 //! * `dispatch_game/aA/kK` — the Section 6 adaptive-adversary game at
 //!   each k, with `metrics` `ratio` (measured cost ÷ feasible spread
@@ -31,7 +37,7 @@
 //! (`--metric-rel-tol`) rather than timing thresholds: a drifted ratio
 //! means the algorithm changed, not the machine.
 
-use ncss_audit::AuditConfig;
+use ncss_audit::{AuditConfig, AuditReport};
 use ncss_bench::harness::{black_box, AuditMode, Suite};
 use ncss_multi::fleet::{audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog};
 use ncss_multi::{collect_assignment, fit_loglog_slope, immediate_dispatch_game, RoundRobin};
@@ -67,6 +73,28 @@ fn tile(motif: &[Job], n: usize) -> Instance {
         })
         .collect();
     Instance::new(jobs).expect("tiled trace instance")
+}
+
+/// One whole fleet cell: build the dispatch log, replay it on the pool,
+/// and gate the outcome with the incremental fleet auditor.
+fn fleet_cell(
+    algo: &str,
+    inst: &Instance,
+    law: PowerLaw,
+    k: usize,
+    pool: &Pool,
+    config: AuditConfig,
+) -> AuditReport {
+    let out = if algo == "c_par" {
+        let log = DispatchLog::c_par(inst, law, k).expect("C-PAR dispatch");
+        replay_c(inst, law, &log, pool).expect("C-PAR replay")
+    } else {
+        let log = DispatchLog::nc_par(inst, law, k).expect("NC-PAR dispatch");
+        replay_nc(inst, law, &log, pool).expect("NC-PAR replay")
+    };
+    let report = audit_fleet(inst, law, &out, config);
+    assert!(report.passed(), "{algo} k={k}: fleet audit failed:\n{}", report.render());
+    report
 }
 
 fn main() {
@@ -132,6 +160,25 @@ fn main() {
                 black_box(replay_nc(&inst, law, &nc_log, &pool).expect("NC-PAR replay"));
             },
         );
+
+        // The whole cell a user runs: dispatch, replay, audit.
+        for (algo, report, out) in [("c_par", &c_report, &c_out), ("nc_par", &nc_report, &nc_out)] {
+            suite.bench_report_mode_metrics_with(
+                &format!("fleet_cell_{algo}/c_alpha2x{k}"),
+                Some(report),
+                AuditMode::Incremental,
+                vec![
+                    ("frac_objective".into(), out.objective.fractional()),
+                    ("jobs".into(), n as f64),
+                    ("work_items".into(), n as f64),
+                ],
+                warmup,
+                iters,
+                || {
+                    black_box(fleet_cell(algo, &inst, law, k, &pool, config));
+                },
+            );
+        }
     }
 
     // ------------------------------------------------------------------

@@ -20,7 +20,9 @@
 //! DESIGN.md §9.
 
 use crate::streaming::{CStream, StreamConfig};
-use ncss_sim::{Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, SimResult};
+use ncss_sim::{
+    Instance, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimResult,
+};
 
 /// Priority key for the active-job heap: highest density first, then
 /// earliest release, then smallest id.
@@ -72,12 +74,7 @@ impl CRun {
     /// the segment ending at `t`).
     #[must_use]
     pub fn remaining_weight_before(&self, t: f64) -> f64 {
-        let segs = self.schedule.segments();
-        let idx = segs.partition_point(|s| s.end < t);
-        match segs.get(idx) {
-            Some(s) if s.start < t && t <= s.end => s.power_at(self.schedule.power_law(), t),
-            _ => 0.0,
-        }
+        weight_before(self.schedule.segments(), self.schedule.power_law(), t)
     }
 
     /// Speed of Algorithm C at time `t` (right-continuous at events).
@@ -90,6 +87,19 @@ impl CRun {
     #[must_use]
     pub fn makespan(&self) -> f64 {
         self.schedule.end_time()
+    }
+}
+
+/// [`CRun::remaining_weight_before`] over any time-ordered run of
+/// Algorithm C segments, such as the tail [`CStream::remaining_segments`]
+/// returns: the power, at `t`, of the segment with `start < t ≤ end`, or 0
+/// when no segment covers `t`.
+#[must_use]
+pub fn weight_before(segments: &[Segment], law: PowerLaw, t: f64) -> f64 {
+    let idx = segments.partition_point(|s| s.end < t);
+    match segments.get(idx) {
+        Some(s) if s.start < t && t <= s.end => s.power_at(law, t),
+        _ => 0.0,
     }
 }
 

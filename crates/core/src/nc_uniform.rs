@@ -75,10 +75,17 @@ pub fn base_power(instance: &Instance, law: PowerLaw, j: usize) -> SimResult<f64
 /// `release`** (the parallel-machine FIFO invariant).
 ///
 /// Semantically identical to appending the job to the history and calling
-/// [`base_power`] on the resulting instance, but the parallel runners call
-/// this once per dispatch, so it copies only the strictly-earlier prefix
-/// instead of cloning, re-sorting, and re-validating the whole history
-/// twice per call.
+/// [`base_power`] on the resulting instance, but it copies only the
+/// strictly-earlier prefix instead of cloning, re-sorting, and re-validating
+/// the whole history.
+///
+/// Each call re-runs Algorithm C over that prefix, so a caller that reads
+/// it once per job pays for the machine's whole history every time. Its one
+/// caller is lazy HDF dispatch (`ncss_multi::run_lazy_hdf`), whose machines
+/// can serve a later, denser job first, so their histories are not fed in
+/// release order. The C-PAR and NC-PAR dispatchers, whose per-machine
+/// histories are, keep one incremental [`crate::streaming::CStream`] per
+/// machine instead.
 pub fn base_power_over_history(history: &[Job], release: f64, law: PowerLaw) -> SimResult<f64> {
     let cut = history.partition_point(|i| i.release < release);
     let strictly_before = if cut == 0 {

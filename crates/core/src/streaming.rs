@@ -34,11 +34,11 @@ use ncss_sim::spill::{SpillRing, SpillSnapshot};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SimError, SimResult, SpeedLaw};
 use std::collections::BinaryHeap;
 
-/// Initial capacity of the active-job heap. One stream exists per run (the
-/// fleet layer replays dispatch logs rather than nesting streams), so a
-/// generous pre-size trades a few KiB for an allocation-free steady state;
-/// streams whose active set outgrows it just fall back to amortized
-/// doubling.
+/// Initial capacity of the active-job heap. A run has one such stream (the
+/// fleet dispatchers' per-machine shadows use [`CStream::shadow`], which
+/// does not pre-size), so a generous pre-size trades a few KiB for an
+/// allocation-free steady state; streams whose active set outgrows it just
+/// fall back to amortized doubling.
 const HEAP_PRESIZE: usize = 1024;
 
 /// Exact total-weight resync cadence. `W(t)` is maintained incrementally
@@ -259,13 +259,26 @@ impl CStream {
     /// A fresh stream under power law `law`.
     #[must_use]
     pub fn new(law: PowerLaw, config: StreamConfig) -> Self {
+        Self::with_heap(law, config.keep_segments, config.ring(), HEAP_PRESIZE)
+    }
+
+    /// A shadow stream: it keeps only the weight trajectory (no segments
+    /// retained) and allocates nothing before its first job. The fleet
+    /// dispatchers keep one per machine they use, so unlike
+    /// [`CStream::new`] it does not pre-size its heap.
+    #[must_use]
+    pub fn shadow(law: PowerLaw) -> Self {
+        Self::with_heap(law, false, SpillRing::unbounded(), 0)
+    }
+
+    fn with_heap(law: PowerLaw, keep_segments: bool, spill: SpillRing, heap: usize) -> Self {
         Self {
             law,
             arena: JobArena::new(),
-            heap: BinaryHeap::with_capacity(HEAP_PRESIZE),
+            heap: BinaryHeap::with_capacity(heap),
             slot_gen: Vec::new(),
-            spill: config.ring(),
-            keep_segments: config.keep_segments,
+            spill,
+            keep_segments,
             t: 0.0,
             watermark: f64::NEG_INFINITY,
             total_w: 0.0,
@@ -476,6 +489,22 @@ impl CStream {
                 return Ok(());
             }
         }
+    }
+
+    /// The segments this stream retires if no further job arrives: a copy
+    /// of it run to completion, with `self` left untouched. It fails
+    /// exactly where [`CStream::finish`] would.
+    ///
+    /// A batch [`crate::run_c`] over the same offers ends with exactly these
+    /// segments, so for any `t` at or after the last release, reading them
+    /// as [`crate::CRun::remaining_weight_before`] does gives the same bits
+    /// without re-running the stream's history.
+    pub fn remaining_segments(&self) -> SimResult<Vec<Segment>> {
+        let mut rest = self.clone();
+        rest.keep_segments = true;
+        rest.spill = SpillRing::unbounded();
+        rest.finish(&mut |_| {})?;
+        Ok(rest.spill.drain().collect())
     }
 
     /// The left limit `W(t^-)` of the total remaining weight — the quantity

@@ -9,9 +9,12 @@
 //! machine index — the total order the paper fixes.
 
 use crate::fleet::run_c_par_sharded;
-use ncss_core::{run_c, CRun};
+use crate::shadow::{empty_sum, ByTime, MachineShadow};
+use ncss_core::clairvoyant::weight_before;
 use ncss_pool::Pool;
-use ncss_sim::{Instance, Job, PowerLaw, SimError, SimResult};
+use ncss_sim::numeric::tie_slack;
+use ncss_sim::{Instance, Job, PowerLaw, Segment, SimError, SimResult};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Largest supported machine count. Parallel-machine state is `O(m)` even
 /// when most machines stay idle, so an adversarial `m` near `usize::MAX`
@@ -37,15 +40,6 @@ pub(crate) fn validate_machines(machines: usize) -> SimResult<()> {
 /// plugs into [`ncss_core::run_checked_multi`] and the auditors directly.
 pub use ncss_core::MultiRun as ParOutcome;
 
-/// Tie slack for the dispatchers' comparisons at magnitude `x`: `1e-12`
-/// absolute at or above 1, `1e-12` relative below it. Scaling volumes and
-/// releases by an exact change of units then cannot flip a decision, while
-/// decisions at magnitudes of 1 and above keep the absolute slack they
-/// always had.
-pub(crate) fn tie_slack(x: f64) -> f64 {
-    1e-12 * x.abs().min(1.0)
-}
-
 /// The C-PAR greedy dispatch rule on its own: the machine index chosen for
 /// each job, in release order. [`crate::fleet::DispatchLog::c_par`] records
 /// these decisions.
@@ -55,43 +49,123 @@ pub(crate) fn greedy_c_par_assignment(
     machines: usize,
 ) -> SimResult<Vec<usize>> {
     validate_machines(machines)?;
-    let n = instance.len();
-    let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
-    let mut assignment = vec![0usize; n];
-    // Per-machine C run over its current job set, invalidated only when the
-    // machine receives a job: the greedy scan below would otherwise
-    // re-simulate every machine for every arrival (`n · m` runs instead of
-    // at most `n` rebuilds).
-    let mut cached: Vec<Option<CRun>> = (0..machines).map(|_| None).collect();
+    let mut fleet = GreedyFleet::new(law, machines);
+    instance.jobs().iter().map(|&job| fleet.dispatch(job)).collect()
+}
 
-    for (j, job) in instance.jobs().iter().enumerate() {
-        // Remaining fractional weight of each machine just before r_j.
-        let mut best = 0usize;
-        let mut best_w = f64::INFINITY;
-        for (m, jobs) in assigned.iter().enumerate() {
-            // Remaining weight at r_j^-, counting same-instant earlier jobs
-            // at full weight (the distinct-release limit; see
-            // `ncss_core::nc_uniform::base_power`).
-            let strictly_before = if jobs.is_empty() {
-                0.0
-            } else {
-                if cached[m].is_none() {
-                    cached[m] = Some(run_c(&Instance::new(jobs.clone())?, law)?);
-                }
-                cached[m].as_ref().expect("just rebuilt").remaining_weight_before(job.release)
-            };
-            let ties: f64 = jobs.iter().filter(|i| i.release == job.release).map(Job::weight).sum();
-            let w = strictly_before + ties;
+/// One used machine under C-PAR: its shadow C run, and the *tail* of that
+/// run, the segments it retires if no further job arrives.
+#[derive(Debug)]
+struct Greedy {
+    shadow: MachineShadow,
+    tail: Vec<Segment>,
+    /// End of the tail: the machine's C run holds weight until then.
+    end: f64,
+}
+
+impl Greedy {
+    /// `W^{(C)}(r^-)` plus the weight of the machine's jobs released at
+    /// `r`, for `r` at or after the machine's latest release: the bits the
+    /// serial reference gets from a fresh `run_c` over the machine's jobs.
+    fn weight_at(&self, law: PowerLaw, r: f64) -> f64 {
+        let s = &self.shadow;
+        if r == s.last_release {
+            s.before + s.ties
+        } else {
+            // Past the last release nothing ties; the tail holds every
+            // segment of the run that ends at or after `r`.
+            weight_before(&self.tail, law, r) + empty_sum()
+        }
+    }
+}
+
+/// C-PAR's fleet state, indexed so that a dispatch touches only machines
+/// whose C run still holds weight.
+///
+/// A machine whose tail ended before the release has remaining weight
+/// exactly 0. Under the scan rule `w < best_w − tie_slack(best_w)`, with
+/// every `w ≥ 0`, the lowest-indexed machine with zero weight beats every
+/// positive weight before it and no machine after it can beat 0, so the
+/// scan stops there. Machines are first used in index order, so the used
+/// machines are exactly `0..used.len()`.
+#[derive(Debug)]
+struct GreedyFleet {
+    law: PowerLaw,
+    machines: usize,
+    used: Vec<Greedy>,
+    /// Used machines whose C run may hold weight at the next release.
+    busy: BTreeSet<usize>,
+    /// Used machines whose C run has drained.
+    idle: BTreeSet<usize>,
+    /// Busy machines by tail end; an entry whose time is no longer the
+    /// machine's `end` is stale and skipped.
+    ends: BinaryHeap<ByTime>,
+    /// The machine that received the previous job: its tail is stale until
+    /// the next dispatch reads it, which is when the serial reference
+    /// re-runs C over its jobs (and fails where that run would fail).
+    stale: Option<usize>,
+}
+
+impl GreedyFleet {
+    fn new(law: PowerLaw, machines: usize) -> Self {
+        Self {
+            law,
+            machines,
+            used: Vec::new(),
+            busy: BTreeSet::new(),
+            idle: BTreeSet::new(),
+            ends: BinaryHeap::new(),
+            stale: None,
+        }
+    }
+
+    fn dispatch(&mut self, job: Job) -> SimResult<usize> {
+        let r = job.release;
+        if let Some(m) = self.stale.take() {
+            let g = &mut self.used[m];
+            g.tail = g.shadow.stream.remaining_segments()?;
+            let last = g.shadow.last_release;
+            g.end = g.tail.last().map_or(last, |s| s.end.max(last));
+            self.ends.push(ByTime { time: g.end, machine: m });
+        }
+        while let Some(top) = self.ends.peek().copied().filter(|e| e.time < r) {
+            self.ends.pop();
+            let g = &mut self.used[top.machine];
+            if g.end.to_bits() == top.time.to_bits() && self.busy.remove(&top.machine) {
+                g.tail = Vec::new();
+                self.idle.insert(top.machine);
+            }
+        }
+
+        // The lowest machine with zero weight: drained, or else never used
+        // (every drained machine is used, so it has the lower index).
+        let never_used = Some(self.used.len()).filter(|&m| m < self.machines);
+        let zero = self.idle.first().copied().or(never_used);
+        let (mut best, mut best_w) = (0usize, f64::INFINITY);
+        for &m in self.busy.range(..zero.unwrap_or(self.machines)) {
+            let w = self.used[m].weight_at(self.law, r);
             if w < best_w - tie_slack(best_w) {
+                best = m;
                 best_w = w;
+            }
+        }
+        if let Some(m) = zero {
+            if 0.0 < best_w - tie_slack(best_w) {
                 best = m;
             }
         }
-        assignment[j] = best;
-        assigned[best].push(*job);
-        cached[best] = None;
+
+        if best == self.used.len() {
+            let shadow = MachineShadow::new(self.law);
+            self.used.push(Greedy { shadow, tail: Vec::new(), end: f64::NEG_INFINITY });
+        } else {
+            self.idle.remove(&best);
+        }
+        self.used[best].shadow.admit(job)?;
+        self.busy.insert(best);
+        self.stale = Some(best);
+        Ok(best)
     }
-    Ok(assignment)
 }
 
 /// Run C-PAR on `machines` identical machines: the greedy dispatch log
@@ -103,6 +177,7 @@ pub fn run_c_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncss_core::run_c;
     use ncss_sim::numeric::approx_eq;
 
     fn pl(alpha: f64) -> PowerLaw {

@@ -30,16 +30,19 @@
 //! [`replay_nc`] only evaluates each job's growth-law service and never
 //! re-simulates a machine's history.
 
-use crate::c_par::{greedy_c_par_assignment, tie_slack, validate_machines, ParOutcome};
+use crate::c_par::{greedy_c_par_assignment, validate_machines, ParOutcome};
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
 use crate::nc_par::GrowthService;
+use crate::shadow::{ByTime, MachineShadow};
 use ncss_audit::{AuditConfig, AuditReport, IncrementalMultiAudit};
 use ncss_core::run_c;
 use ncss_pool::Pool;
+use ncss_sim::numeric::tie_slack;
 use ncss_sim::{
     Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
     SimResult,
 };
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// One dispatch decision: job `job` goes to machine `machine`, beginning
 /// service at time `start`.
@@ -179,6 +182,11 @@ impl DispatchLog {
     /// anyway: the growth-law service time it implies decides when the
     /// machine is next available.
     ///
+    /// `K_j` comes from the machine's shadow Algorithm C run, kept live
+    /// across its jobs, and the machine from an availability index, so a
+    /// dispatch costs `O(log k)` plus one offer to one shadow (DESIGN.md
+    /// §12.3).
+    ///
     /// Rejects non-uniform densities (the paper's Theorem 17 setting) and
     /// non-finite service times.
     pub fn nc_par(instance: &Instance, law: PowerLaw, machines: usize) -> SimResult<Self> {
@@ -186,21 +194,19 @@ impl DispatchLog {
         if !instance.is_uniform_density() {
             return Err(SimError::NonUniformDensity);
         }
-        let mut avail = vec![0.0f64; machines];
-        // Each machine's jobs so far, in release order (the FIFO order).
-        let mut assigned: Vec<Vec<Job>> = vec![Vec::new(); machines];
+        let mut fleet = Availability::new(machines);
+        // One shadow C run per machine used; machines are first used in
+        // index order, so machine `m`'s shadow is `shadows[m]`.
+        let mut shadows: Vec<MachineShadow> = Vec::new();
         let mut entries = Vec::with_capacity(instance.len());
         for (j, job) in instance.jobs().iter().enumerate() {
-            let earliest = avail.iter().copied().fold(f64::INFINITY, f64::min);
-            let start = job.release.max(earliest);
-            let m = (0..machines)
-                .find(|&m| avail[m] <= start + tie_slack(start))
-                .expect("some machine is available at start");
-            let k_j =
-                ncss_core::nc_uniform::base_power_over_history(&assigned[m], job.release, law)?;
+            let (m, start) = fleet.take(job.release);
+            if m == shadows.len() {
+                shadows.push(MachineShadow::new(law));
+            }
+            let k_j = shadows[m].admit(*job)?;
             let what = "DispatchLog::nc_par: service time";
-            avail[m] = start + GrowthService::new(law, k_j, job, what)?.tau;
-            assigned[m].push(*job);
+            fleet.busy_until(m, start + GrowthService::new(law, k_j, job, what)?.tau);
             entries.push(DispatchEntry { job: j, machine: m, start, base_power: Some(k_j) });
         }
         Self::new(machines, entries)
@@ -243,6 +249,82 @@ impl DispatchLog {
             })
             .collect();
         Self::new(machines, entries)
+    }
+}
+
+/// NC-PAR's machine availability, indexed so that a dispatch costs
+/// O(log k) rather than two scans of the fleet.
+///
+/// Dispatch starts never decrease from one job to the next, and neither
+/// does `start + tie_slack(start)`. So a machine that once had
+/// `avail ≤ start + tie_slack(start)` stays eligible until it is picked:
+/// it waits in `ready`, ordered by index, and the lowest eligible machine
+/// is the first of `ready`, or else the lowest machine never used (whose
+/// availability is 0). Every other used machine waits in `busy`, a
+/// min-heap on availability.
+#[derive(Debug)]
+struct Availability {
+    machines: usize,
+    /// Availability of each used machine; machines are first used in index
+    /// order, so these are machines `0..avail.len()`.
+    avail: Vec<f64>,
+    ready: BTreeSet<usize>,
+    /// The ready machines by availability, for the fleet's earliest time.
+    /// An entry is stale once its machine has been picked.
+    ready_by_time: BinaryHeap<ByTime>,
+    busy: BinaryHeap<ByTime>,
+}
+
+impl Availability {
+    fn new(machines: usize) -> Self {
+        Self {
+            machines,
+            avail: Vec::new(),
+            ready: BTreeSet::new(),
+            ready_by_time: BinaryHeap::new(),
+            busy: BinaryHeap::new(),
+        }
+    }
+
+    /// The machine for the queue head released at `release`, and its start
+    /// `max(release, earliest availability)`: the lowest-indexed machine
+    /// available within the tie slack of that start.
+    fn take(&mut self, release: f64) -> (usize, f64) {
+        let earliest = if self.avail.len() < self.machines {
+            0.0
+        } else {
+            while let Some(&e) = self.ready_by_time.peek() {
+                if self.ready.contains(&e.machine)
+                    && self.avail[e.machine].to_bits() == e.time.to_bits()
+                {
+                    break;
+                }
+                self.ready_by_time.pop();
+            }
+            let ready = self.ready_by_time.peek().map_or(f64::INFINITY, |e| e.time);
+            ready.min(self.busy.peek().map_or(f64::INFINITY, |e| e.time))
+        };
+        let start = release.max(earliest);
+        let bound = start + tie_slack(start);
+        while let Some(e) = self.busy.peek().copied().filter(|e| e.time <= bound) {
+            self.busy.pop();
+            self.ready.insert(e.machine);
+            self.ready_by_time.push(e);
+        }
+        let m = match self.ready.pop_first() {
+            Some(m) => m,
+            None => {
+                self.avail.push(0.0);
+                self.avail.len() - 1
+            }
+        };
+        (m, start)
+    }
+
+    /// Machine `m`, just picked, is next available at `t`.
+    fn busy_until(&mut self, m: usize, t: f64) {
+        self.avail[m] = t;
+        self.busy.push(ByTime { time: t, machine: m });
     }
 }
 

@@ -48,6 +48,25 @@ pub fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / (a.abs().max(b.abs())).max(1.0)
 }
 
+/// Tie slack for comparing times or weights at magnitude `x`: `1e-12`
+/// absolute at or above 1, `1e-12` relative below it.
+///
+/// Rescaling an instance by an exact change of units then cannot flip a
+/// comparison, while comparisons at magnitudes of 1 and above keep the
+/// absolute slack they always had. The fleet dispatchers break ties with
+/// it and [`crate::Schedule::new`] admits overlaps up to it.
+///
+/// ```
+/// use ncss_sim::numeric::tie_slack;
+/// assert_eq!(tie_slack(5.0), 1e-12);
+/// assert_eq!(tie_slack(-5.0), 1e-12);
+/// assert_eq!(tie_slack(1e-100), 1e-112);
+/// ```
+#[must_use]
+pub fn tie_slack(x: f64) -> f64 {
+    1e-12 * x.abs().min(1.0)
+}
+
 /// True when `a` and `b` agree to relative tolerance `rtol` (with the same
 /// near-zero floor as [`rel_diff`]).
 #[must_use]

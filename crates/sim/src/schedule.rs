@@ -12,6 +12,7 @@
 use crate::error::{SimError, SimResult};
 use crate::job::JobId;
 use crate::kernel::{DecayKernel, GrowthKernel};
+use crate::numeric::tie_slack;
 use crate::power::PowerLaw;
 
 /// The analytic speed law in force during one segment (before scaling).
@@ -251,6 +252,13 @@ pub struct Schedule {
 
 impl Schedule {
     /// Build a schedule, validating segment ordering.
+    ///
+    /// A segment may start before its predecessor ends by at most the
+    /// [`tie_slack`] of that end time, plus four ulps of the same magnitude
+    /// for rounding: the fleet dispatchers hand a machine its next job
+    /// within that tie slack of its previous completion. The slack is
+    /// relative below magnitude 1, so an overlap is rejected at every time
+    /// scale.
     pub fn new(law: PowerLaw, segments: Vec<Segment>) -> SimResult<Self> {
         let mut prev_end = f64::NEG_INFINITY;
         for s in &segments {
@@ -260,7 +268,8 @@ impl Schedule {
             if !(s.scale.is_finite() && s.scale > 0.0) {
                 return Err(SimError::MalformedSchedule { reason: "segment with non-positive scale" });
             }
-            if s.start < prev_end - 1e-12 {
+            let slack = tie_slack(prev_end) + 4.0 * f64::EPSILON * prev_end.abs().min(1.0);
+            if s.start < prev_end - slack {
                 return Err(SimError::MalformedSchedule { reason: "overlapping segments" });
             }
             prev_end = s.end;

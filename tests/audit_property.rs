@@ -461,3 +461,107 @@ fn incremental_multi_matches_batch_multi_on_duplicated_fleet() {
     let inc_failed: Vec<&str> = inc.failures().iter().map(|c| c.name).collect();
     assert_eq!(batch_failed, inc_failed, "failure sets must match");
 }
+
+/// A wide fleet's tamperings: each corrupts one machine's timeline.
+#[derive(Debug, Clone, Copy)]
+enum FleetTamper {
+    /// Run one serving segment 1.5× too fast.
+    ScaleSpeed,
+    /// Shift a whole machine timeline earlier: its end time decreases and
+    /// its first job is served before release.
+    ShiftEarlier,
+    /// Replace a machine's last segment by a sliver that ends *before* the
+    /// segment preceding it (inside `Schedule::new`'s slack): the machine's
+    /// end time goes down along its own timeline, and the job it served
+    /// loses its volume.
+    EndBeforePrevious,
+    /// Copy a busy machine's timeline onto an idle machine.
+    CopyToIdle,
+}
+
+fn tamper_fleet(tamper: FleetTamper, schedules: &[Schedule]) -> Vec<Schedule> {
+    let mut fleet = schedules.to_vec();
+    let busiest = (0..fleet.len()).max_by_key(|&m| fleet[m].segments().len()).unwrap();
+    let law = fleet[busiest].power_law();
+    let mut segs = fleet[busiest].segments().to_vec();
+    let mid = segs.len() / 2;
+    match tamper {
+        FleetTamper::ScaleSpeed => segs[mid].scale *= 1.5,
+        FleetTamper::ShiftEarlier => {
+            let shift = 0.5 * segs[0].duration();
+            for s in &mut segs {
+                s.start -= shift;
+                s.end -= shift;
+            }
+        }
+        FleetTamper::EndBeforePrevious => {
+            let prev_end = segs[segs.len() - 2].end;
+            let sliver = 1e-13 * prev_end.abs().min(1.0);
+            let last = segs.last_mut().unwrap();
+            (last.start, last.end) = (prev_end - 2.0 * sliver, prev_end - sliver);
+        }
+        FleetTamper::CopyToIdle => {
+            let idle = fleet.iter().rposition(|s| s.segments().is_empty()).unwrap();
+            fleet[idle] = fleet[busiest].clone();
+        }
+    }
+    fleet[busiest] = Schedule::new(law, segs).expect("tampered timeline stays a schedule");
+    fleet
+}
+
+/// Fleet parity: same checks, order and verdicts; each residual of the
+/// same order as the batch one, or within the `1e-12` by which the fleet
+/// auditor's per-machine quadrature sampling may move it (see
+/// `IncrementalMultiAudit`).
+fn assert_fleet_parity(batch: &AuditReport, inc: &AuditReport, context: &str) {
+    assert_eq!(batch.checks.len(), inc.checks.len(), "{context}: check count");
+    for (b, i) in batch.checks.iter().zip(&inc.checks) {
+        assert_eq!((b.name, b.passed), (i.name, i.passed), "{context}: verdict\n{batch}\n{inc}");
+        assert!(
+            residuals_same_order(b.residual, i.residual) || (b.residual - i.residual).abs() <= 1e-12,
+            "{context}: {} residual batch {:e} vs incremental {:e}",
+            b.name,
+            b.residual,
+            i.residual
+        );
+    }
+}
+
+#[test]
+fn incremental_multi_matches_batch_multi_on_a_wide_fleet() {
+    // 512 machines, a few dozen busy: the fleet auditor's per-event cost
+    // must not scan the idle ones, and its verdicts must stay the batch
+    // pass's, honest or tampered.
+    let inst = WorkloadSpec::uniform(240, 10.0, VolumeDist::Exponential { mean: 1.0 })
+        .generate(41)
+        .expect("wide-fleet workload");
+    let law = PowerLaw::new(2.5).unwrap();
+    let config = AuditConfig::default();
+    for (name, out) in [
+        ("C-PAR", ncss::multi::run_c_par(&inst, law, 512).unwrap()),
+        ("NC-PAR", ncss::multi::run_nc_par(&inst, law, 512).unwrap()),
+    ] {
+        let reported = Evaluated { objective: out.objective, per_job: out.per_job.clone() };
+        let audit_both = |schedules: &[Schedule]| {
+            let batch = MultiAudit::new(config).audit(&inst, schedules, &reported);
+            let fleet = ncss::multi::ParOutcome { schedules: schedules.to_vec(), ..out.clone() };
+            let inc = ncss::multi::audit_fleet(&inst, law, &fleet, config);
+            (batch, inc)
+        };
+        let (batch, inc) = audit_both(&out.schedules);
+        assert!(batch.passed() && inc.passed(), "{name} honest:\n{batch}\n{inc}");
+        assert_fleet_parity(&batch, &inc, &format!("{name} honest"));
+
+        for tamper in [
+            FleetTamper::ScaleSpeed,
+            FleetTamper::ShiftEarlier,
+            FleetTamper::EndBeforePrevious,
+            FleetTamper::CopyToIdle,
+        ] {
+            let (batch, inc) = audit_both(&tamper_fleet(tamper, &out.schedules));
+            let ctx = format!("{name} {tamper:?}");
+            assert!(!batch.passed(), "{ctx}: tampering went unnoticed\n{batch}");
+            assert_fleet_parity(&batch, &inc, &ctx);
+        }
+    }
+}

@@ -12,7 +12,10 @@
 //! * immediate dispatch: Algorithm NC per machine under a fixed assignment.
 //!
 //! The log path must reproduce them bit for bit, serial and sharded, over
-//! k ∈ {1, 2, 7} × α ∈ {2, 2.75} × a uniform suite and a tie-heavy suite.
+//! k ∈ {1, 2, 7} × α ∈ {2, 2.75} × a uniform suite and a tie-heavy suite,
+//! and over cases aimed at the dispatchers' machine indexes: wide fleets
+//! (k ∈ {64, 512}), batches of simultaneous releases, a machine whose C run
+//! ends exactly at the next release, and C-PAR over mixed densities.
 //! Both dispatchers compare with a slack of `1e-12`, relative below
 //! magnitude 1, as the runners do.
 
@@ -30,7 +33,7 @@ use ncss::sim::{
     SpeedLaw,
 };
 use ncss::workloads::suite::uniform_suite;
-use ncss::workloads::{VolumeDist, WorkloadSpec};
+use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 
 const KS: [usize; 3] = [1, 2, 7];
 const ALPHAS: [f64; 2] = [2.0, 2.75];
@@ -248,4 +251,112 @@ fn immediate_dispatch_matches_per_machine_nc() {
         let fixed = run_nc_with_assignment(inst, law, &assignment, k).unwrap();
         assert_bitwise(&want, &fixed, &format!("{ctx} fixed"));
     });
+}
+
+/// Check both dispatchers (C-PAR only when densities differ) against the
+/// serial references, bit for bit, serial and sharded.
+fn check_both(inst: &Instance, law: PowerLaw, k: usize, ctx: &str) {
+    let pool = Pool::with_threads(3);
+    let want = reference_c_par(inst, law, k);
+    assert_bitwise(&want, &run_c_par(inst, law, k).unwrap(), &format!("{ctx} C-PAR"));
+    let got = run_c_par_sharded(inst, law, k, &pool).unwrap();
+    assert_bitwise(&want, &got, &format!("{ctx} C-PAR sharded"));
+    if inst.is_uniform_density() {
+        let want = reference_nc_par(inst, law, k);
+        assert_bitwise(&want, &run_nc_par(inst, law, k).unwrap(), &format!("{ctx} NC-PAR"));
+        let got = run_nc_par_sharded(inst, law, k, &pool).unwrap();
+        assert_bitwise(&want, &got, &format!("{ctx} NC-PAR sharded"));
+    }
+}
+
+/// Far more machines than are ever busy: most dispatches go to the lowest
+/// drained or never-used machine, which the dispatchers find without
+/// scanning the fleet.
+#[test]
+fn wide_fleets_match_the_serial_references() {
+    let dist = VolumeDist::Exponential { mean: 1.0 };
+    let insts = [
+        WorkloadSpec::uniform(300, 12.0, dist).generate(5).unwrap(),
+        WorkloadSpec::uniform(120, 40.0, dist).generate(6).unwrap(),
+    ];
+    for (i, inst) in insts.iter().enumerate() {
+        for alpha in ALPHAS {
+            let law = PowerLaw::new(alpha).unwrap();
+            for k in [64usize, 512] {
+                check_both(inst, law, k, &format!("wide#{i} n={} k={k} a={alpha}", inst.len()));
+            }
+        }
+    }
+}
+
+/// Batches of simultaneous releases: every job of a batch meets its
+/// machine's same-instant tie weight, and several machines tie at zero.
+#[test]
+fn simultaneous_batches_match_the_serial_references() {
+    let mut jobs = Vec::new();
+    for (release, count) in [(0.0, 40usize), (1.5, 25), (1.5 + 1e-13, 3), (9.0, 12)] {
+        for i in 0..count {
+            jobs.push(Job::unit_density(release, 0.2 + 0.37 * ((i * 7) % 11) as f64));
+        }
+    }
+    let inst = Instance::new(jobs).unwrap();
+    for alpha in ALPHAS {
+        let law = PowerLaw::new(alpha).unwrap();
+        for k in [1usize, 2, 7, 64] {
+            check_both(&inst, law, k, &format!("batches k={k} a={alpha}"));
+        }
+    }
+}
+
+/// A machine's C run that ends exactly at the next release: that release
+/// reads the last point of the machine's tail, where the weight is 0 or a
+/// rounding residue, while other machines are busy or drained.
+#[test]
+fn a_tail_ending_exactly_at_a_release_matches_the_serial_references() {
+    let law = PowerLaw::new(2.0).unwrap();
+    // At α = 2 a lone job of volume 4 runs out after exactly 2·√4 = 4 time
+    // units, so machine 1's run ends exactly at the release 4.5.
+    let jobs = [(0.0, 9.0), (0.5, 4.0), (4.5, 1.0), (4.5, 1.0), (6.0, 2.0), (8.0, 0.5)];
+    let inst = Instance::new(jobs.iter().map(|&(r, v)| Job::unit_density(r, v)).collect()).unwrap();
+    let c = run_c(&Instance::new(vec![Job::unit_density(0.5, 4.0)]).unwrap(), law).unwrap();
+    assert_eq!(c.per_job.completion[0], 4.5, "the lone run must end exactly at 4.5");
+    for k in [2usize, 3] {
+        check_both(&inst, law, k, &format!("exact tail end k={k}"));
+    }
+    assert_eq!(run_c_par(&inst, law, 2).unwrap().assignment[..2], [0, 1]);
+
+    // Two jobs share machine 1 (C-PAR at k = 3: machine 2's job outweighs
+    // machine 1's when the second one arrives, then drains first). The next
+    // release is set to the exact end of machine 1's C run, so the scan
+    // meets machine 0 busy, machine 1 at its tail's end and machine 2
+    // drained.
+    let head = [(0.0, 9.0), (0.5, 2.0), (0.55, 2.5), (0.6, 1.5)];
+    let head: Vec<Job> = head.iter().map(|&(r, v)| Job::unit_density(r, v)).collect();
+    let first = run_c_par(&Instance::new(head.clone()).unwrap(), law, 3).unwrap();
+    assert_eq!(first.assignment, [0, 1, 2, 1]);
+    let end = first.schedules[1].end_time();
+    assert!(end > first.schedules[2].end_time() && end < first.schedules[0].end_time());
+    let mut jobs = head;
+    jobs.extend([Job::unit_density(end, 0.7), Job::unit_density(end, 0.2)]);
+    let inst = Instance::new(jobs).unwrap();
+    for k in [3usize, 4] {
+        check_both(&inst, law, k, &format!("exact tail end, shared machine, k={k}"));
+    }
+}
+
+/// C-PAR's greedy rule reads each machine's remaining *weight*, so
+/// densities that differ by job reorder Algorithm C's service (highest
+/// density first) on every machine.
+#[test]
+fn c_par_with_mixed_densities_matches_the_serial_reference() {
+    let mut spec = WorkloadSpec::uniform(90, 4.0, VolumeDist::Exponential { mean: 1.0 });
+    spec.densities = DensityDist::LogUniform { lo: 0.2, hi: 6.0 };
+    let inst = spec.generate(11).unwrap();
+    assert!(!inst.is_uniform_density());
+    for alpha in ALPHAS {
+        let law = PowerLaw::new(alpha).unwrap();
+        for k in [1usize, 2, 7, 64] {
+            check_both(&inst, law, k, &format!("mixed densities k={k} a={alpha}"));
+        }
+    }
 }
