@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use crate::closed_form;
 use crate::quad::integrate;
 use crate::report::{AuditReport, Stopwatch};
-use crate::schedule_audit::{residual, sampled, AuditConfig};
+use crate::schedule_audit::{completion_margin, residual, sampled, AuditConfig};
 use ncss_sim::profile::{Phase, PhaseScope};
 use ncss_sim::{Job, JobId, Objective, PowerLaw, Segment, SegmentIndex, SimResult, SpeedLaw};
 
@@ -494,7 +494,7 @@ impl IncrementalAudit {
             running += v;
             running
         }));
-        let margin = 1e-9 * (1.0 + job.volume);
+        let margin = completion_margin(job.volume);
         let mut derived_c = f64::NAN;
         // `SegmentIndex::first_reaching` / `volume_before` over the
         // scratch prefix sums.
@@ -1172,7 +1172,7 @@ impl IncrementalMultiAudit {
             })
             .collect();
         let index = SegmentIndex::from_volumes(&segs, dvs.iter().copied());
-        let margin = 1e-9 * (1.0 + job.volume);
+        let margin = completion_margin(job.volume);
         let mut derived_c = f64::NAN;
         let i = index.first_reaching(job.volume - margin);
         if let Some(s) = segs.get(i) {

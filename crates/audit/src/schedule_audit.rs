@@ -90,6 +90,18 @@ pub struct ScheduleAudit {
     config: AuditConfig,
 }
 
+/// How far short of its volume a job's delivered volume may stop and still
+/// count as complete when the auditors re-derive its completion:
+/// `1e-9 · (1 + volume)` at or above volume 1, and `1e-9 · 2·volume` below
+/// it — the shape of [`AuditConfig::time_slack`]. Relative below 1, so a
+/// 1e-8-volume job is not declared complete a tenth of its volume early;
+/// jobs whose crossing underflows altogether (1e-150 scales) fall through
+/// to the delivered-volume fallback of the re-derivation.
+pub(crate) fn completion_margin(volume: f64) -> f64 {
+    let v = volume.abs();
+    1e-9 * (v + v.min(1.0))
+}
+
 /// Scale-free residual: relative for large magnitudes, absolute near zero.
 pub(crate) fn residual(x: f64, reference: f64) -> f64 {
     (x - reference).abs() / (1.0 + reference.abs())
@@ -202,10 +214,9 @@ pub(crate) fn derive_per_job(
             .collect();
         let index = SegmentIndex::from_volumes(segs, dvs.iter().copied());
         // First segment in which the cumulative volume reaches the job
-        // size: binary search over the prefix sums. The margin is
-        // scale-free so 1e-150-scale volumes (which can underflow to 0)
-        // still register.
-        let margin = 1e-9 * (1.0 + volume);
+        // size (less the completion margin): binary search over the prefix
+        // sums.
+        let margin = completion_margin(volume);
         let mut completion = f64::NAN;
         let i = index.first_reaching(volume - margin);
         if let Some(s) = segs.get(i) {

@@ -12,13 +12,27 @@
 //!    weights equal to what NC has processed so far), plus an arbitrarily
 //!    small ε so the speed is bootstrapped away from zero.
 //!
-//! Unlike the uniform case, the speed rule requires a *nested* simulation of
-//! Algorithm C on `I(t)` at every instant, so this run is numerically
-//! integrated (midpoint rule with event-aligned adaptive steps and exact
-//! completion solving) rather than closed-form. The inner C runs themselves
-//! remain exact. Tolerances in tests are correspondingly looser (~1e-3).
+//! Unlike the uniform case, the speed depends on Algorithm C's run on the
+//! evolving instance `I(t)`, so this run is numerically integrated
+//! (midpoint rule with event-aligned adaptive steps and exact completion
+//! solving) rather than closed-form. Tolerances in tests are
+//! correspondingly looser (~1e-3).
+//!
+//! Each speed query reads C on `I(t)` from a shadow [`CStream`] rather
+//! than re-running C from scratch. Within a service stint NC changes only
+//! the served job's processed volume, so the stream state after offering
+//! the processed jobs that precede it in `(release, id)` order is fixed for
+//! the whole stint: it is built once per stint and copied per query, which
+//! offers only the served job and the later processed jobs and reads
+//! [`CStream::speed_at`] at `t`. The read is exact, not an approximation:
+//! batch `run_c` is a wrapper over the same stream, so the copy executes
+//! the floating-point operations the from-scratch run would, in the same
+//! order, and the speed read mirrors `Schedule::speed_at` (right-continuous,
+//! with the `1e-12` closing-speed rule). `tests/offline_reference.rs` keeps
+//! the from-scratch oracle and holds the two to the same bits and the same
+//! errors.
 
-use crate::clairvoyant::run_c;
+use crate::streaming::CStream;
 use ncss_sim::numeric::KahanSum;
 use ncss_sim::{
     Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
@@ -85,36 +99,92 @@ impl NonUniformRun {
     }
 }
 
-/// State snapshot handed to the nested clairvoyant simulation.
+/// Algorithm C's speed on the current instance `I(t)`, read from a shadow
+/// [`CStream`] instead of a from-scratch [`crate::run_c`] per query.
+///
+/// `I(t)` holds every job NC has processed, in `(release, id)` order, with
+/// its processed volume and rounded density. Within one service stint NC
+/// changes only the served job's volume, so the stream state after offering
+/// the processed jobs *before* the served one is the same for every query of
+/// the stint: it is built once per stint (`prefix`) and copied into `query`
+/// per query, which then offers only the served job and the later processed
+/// jobs and reads [`CStream::speed_at`]. Batch and stream share every
+/// floating-point operation, so each read returns the bits
+/// `run_c(I(t)).schedule.speed_at(t)` would; see [`SpeedOracle::speed`] for
+/// how errors stay identical.
 struct SpeedOracle<'a> {
     law: PowerLaw,
     releases: &'a [f64],
     rounded_density: &'a [f64],
     eta: f64,
     epsilon: f64,
+    /// Shadow stream after offering the processed jobs before `prefix_of`.
+    prefix: CStream,
+    /// The served job `prefix` was built for; `None` before the first query.
+    prefix_of: Option<usize>,
+    /// The per-query copy of `prefix`, kept so its buffers are reused.
+    query: CStream,
 }
 
 impl SpeedOracle<'_> {
     /// `η · s^{(C)}_{I(t)}(t) + ε`: the speed of Algorithm C at time `t`
-    /// when run on the current instance defined by `processed` volumes.
+    /// when run on the current instance defined by `processed` volumes,
+    /// while NC serves job `cur`.
     ///
-    /// Propagates failures of the nested simulation (degenerate current
-    /// instances or kernel overflow at extreme scales) instead of
-    /// panicking, so the outer integrator can surface a structured error.
-    fn speed(&self, t: f64, processed: &[f64]) -> SimResult<f64> {
-        let mut jobs = Vec::with_capacity(processed.len());
-        for (j, &v) in processed.iter().enumerate() {
-            if v > 0.0 {
-                jobs.push(Job { release: self.releases[j], volume: v, density: self.rounded_density[j] });
+    /// Propagates failures of the shadow simulation instead of panicking,
+    /// with the outcome a from-scratch run would have: every job of `I(t)` is
+    /// validated in id order, and the stream is run on to completion after
+    /// the read, so an error C would only hit after `t` still surfaces. The
+    /// rest of C's future is cheap next to its past: the prefix cache skips
+    /// the past, not the future.
+    fn speed(&mut self, t: f64, processed: &[f64], cur: usize) -> SimResult<f64> {
+        let (releases, rounded_density) = (self.releases, self.rounded_density);
+        // Job `j` of the current instance `I(t)` with processed volume `v`.
+        let job = |j: usize, v: f64| Job { release: releases[j], volume: v, density: rounded_density[j] };
+        if self.prefix_of != Some(cur) {
+            let mut prefix = CStream::shadow(self.law);
+            for (j, &v) in processed[..cur].iter().enumerate() {
+                if v > 0.0 {
+                    prefix.offer(job(j, v), &mut |_| {})?;
+                }
+            }
+            self.prefix = prefix;
+            self.prefix_of = Some(cur);
+        }
+        // A processed job may be released up to the pick tolerance after
+        // `t`; a prefix whose clock already passed `t` cannot be read at `t`,
+        // so that (rare) query replays I(t) from the start instead.
+        let c = &mut self.query;
+        let from = if self.prefix.clock() <= t {
+            c.clone_from(&self.prefix);
+            cur
+        } else {
+            *c = CStream::shadow(self.law);
+            0
+        };
+        // Offer the processed jobs released by `t`; the first one released
+        // later bounds the interval read at `t`.
+        let mut later = None;
+        for (j, &v) in processed.iter().enumerate().skip(from) {
+            if v > 0.0 && releases[j] <= t {
+                c.offer(job(j, v), &mut |_| {})?;
+            } else if v > 0.0 {
+                later = Some(j);
+                break;
             }
         }
-        let s_c = if jobs.is_empty() {
-            0.0
-        } else {
-            let inst = Instance::new(jobs)?;
-            let run = run_c(&inst, self.law)?;
-            run.schedule.speed_at(t)
-        };
+        let next_release = later.map_or(f64::INFINITY, |j| releases[j]);
+        let s_c = c.speed_at(t, next_release)?;
+        // C's future: the jobs released after `t`, then completion, so that
+        // every error the from-scratch run would raise is raised here too.
+        if let Some(first) = later {
+            for (j, &v) in processed.iter().enumerate().skip(first) {
+                if v > 0.0 {
+                    c.offer(job(j, v), &mut |_| {})?;
+                }
+            }
+        }
+        c.finish(&mut |_| {})?;
         Ok(self.eta * s_c + self.epsilon)
     }
 }
@@ -139,12 +209,15 @@ pub fn run_nc_nonuniform(
     let n = jobs.len();
     let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
     let rounded_density: Vec<f64> = rounded.jobs().iter().map(|j| j.density).collect();
-    let oracle = SpeedOracle {
+    let mut oracle = SpeedOracle {
         law,
         releases: &releases,
         rounded_density: &rounded_density,
         eta: params.eta,
         epsilon: params.epsilon,
+        prefix: CStream::shadow(law),
+        prefix_of: None,
+        query: CStream::shadow(law),
     };
 
     let mut processed = vec![0.0f64; n];
@@ -161,13 +234,12 @@ pub fn run_nc_nonuniform(
 
     // Pick the job to serve: highest rounded density among active jobs,
     // FIFO (earliest release, then id) among ties.
-    let pick = |t: f64, processed: &[f64], completion: &[f64]| -> Option<usize> {
+    let pick = |t: f64, completion: &[f64]| -> Option<usize> {
         let mut best: Option<usize> = None;
         for j in 0..n {
             if releases[j] > t + 1e-15 || !completion[j].is_nan() {
                 continue;
             }
-            let _ = processed;
             match best {
                 None => best = Some(j),
                 Some(b) => {
@@ -188,7 +260,7 @@ pub fn run_nc_nonuniform(
         if steps > params.max_steps {
             return Err(SimError::NonConvergence { what: "non-uniform NC integration" });
         }
-        let cur = match pick(t, &processed, &completion) {
+        let cur = match pick(t, &completion) {
             Some(c) => c,
             None => {
                 // Idle: jump to the next release.
@@ -214,7 +286,7 @@ pub fn run_nc_nonuniform(
             stint_start = t;
         }
         let rem = jobs[cur].volume - processed[cur];
-        let s0 = oracle.speed(t, &processed)?;
+        let s0 = oracle.speed(t, &processed, cur)?;
         let dt_rel = releases
             .iter()
             .filter(|&&r| r > t + 1e-15)
@@ -237,9 +309,11 @@ pub fn run_nc_nonuniform(
 
         // Midpoint refinement of the speed over the step.
         let dt_guess = (dv_target / s0).min(dt_cap).min(dt_rel);
-        let mut half = processed.clone();
-        half[cur] += s0 * dt_guess * 0.5;
-        let s_mid = oracle.speed(t + dt_guess * 0.5, &half)?;
+        let at_start = processed[cur];
+        processed[cur] += s0 * dt_guess * 0.5;
+        let s_mid = oracle.speed(t + dt_guess * 0.5, &processed, cur);
+        processed[cur] = at_start;
+        let s_mid = s_mid?;
         if !s_mid.is_finite() {
             return Err(SimError::Numeric { what: "run_nc_nonuniform: speed", value: s_mid });
         }

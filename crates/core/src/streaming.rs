@@ -231,7 +231,7 @@ impl Ord for StreamKey {
 /// // Energy = fractional flow for Algorithm C.
 /// assert!((summary.objective.energy - summary.objective.frac_flow).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CStream {
     law: PowerLaw,
     arena: JobArena,
@@ -253,6 +253,37 @@ pub struct CStream {
     energy: f64,
     frac_done: f64,
     int_done: f64,
+}
+
+impl Clone for CStream {
+    fn clone(&self) -> Self {
+        let mut stream = Self::with_heap(self.law, self.keep_segments, SpillRing::unbounded(), 0);
+        stream.clone_from(self);
+        stream
+    }
+
+    /// Field-wise, reusing `self`'s arena, heap and slot buffers, so a
+    /// caller that re-clones one stream into the same target per query
+    /// (non-uniform NC's speed oracle) stops allocating once the target's
+    /// capacity has caught up.
+    fn clone_from(&mut self, source: &Self) {
+        self.law = source.law;
+        self.arena.clone_from(&source.arena);
+        self.heap.clone_from(&source.heap);
+        self.slot_gen.clone_from(&source.slot_gen);
+        self.spill.clone_from(&source.spill);
+        self.keep_segments = source.keep_segments;
+        self.t = source.t;
+        self.watermark = source.watermark;
+        self.total_w = source.total_w;
+        self.events_since_sync = source.events_since_sync;
+        self.last_seg = source.last_seg;
+        self.ingested = source.ingested;
+        self.completed = source.completed;
+        self.energy = source.energy;
+        self.frac_done = source.frac_done;
+        self.int_done = source.int_done;
+    }
 }
 
 impl CStream {
@@ -362,6 +393,24 @@ impl CStream {
         finishing: bool,
         sink: &mut F,
     ) -> SimResult<()> {
+        self.drain_until(bound, finishing, f64::INFINITY, sink).map(drop)
+    }
+
+    /// [`CStream::drain_events`] that stops short of the service interval
+    /// covering `probe` (`start ≤ probe < end`) and returns that interval
+    /// as the segment the loop would retire, uncommitted. Every interval
+    /// ending at or before `probe` is committed exactly as `drain_events`
+    /// commits it. `None` means the loop went idle (or ended at `bound`)
+    /// without an interval covering `probe`. Inlined so the `probe = ∞`
+    /// comparison folds away on the hot path.
+    #[inline(always)]
+    fn drain_until<F: FnMut(CCompletion)>(
+        &mut self,
+        bound: f64,
+        finishing: bool,
+        probe: f64,
+        sink: &mut F,
+    ) -> SimResult<Option<Segment>> {
         loop {
             // Lazily delete stale keys (slot generation moved on) before
             // reading the top. See [`StreamKey`]; never fires under the
@@ -378,7 +427,7 @@ impl CStream {
                 if self.t < bound && bound.is_finite() {
                     self.t = bound;
                 }
-                return Ok(());
+                return Ok(None);
             };
             let slot = top.slot;
             let rho = top.key.density;
@@ -399,6 +448,10 @@ impl CStream {
             }
             let t_end = if sv.completes { self.t + sv.tau } else { bound };
             let tau = sv.tau;
+            if t_end > probe {
+                let law = SpeedLaw::Decay { w0: self.total_w, rho };
+                return Ok(Some(Segment::new(self.t, t_end, Some(top.key.id), law)));
+            }
 
             // Guard on *clock-visible* progress: a service interval shorter
             // than the clock's ulp (huge-W, tiny-volume degeneracies) closes
@@ -486,9 +539,38 @@ impl CStream {
                 }
             }
             if !sv.completes {
-                return Ok(());
+                return Ok(None);
             }
         }
+    }
+
+    /// Speed of Algorithm C at time `t`: the bits
+    /// [`ncss_sim::Schedule::speed_at`] reads at `t` from the schedule of a
+    /// batch [`crate::run_c`] over the jobs offered so far followed by jobs
+    /// released no earlier than `next_release` (`f64::INFINITY` when none
+    /// follow). Right-continuous at events, and at the end of a busy period
+    /// it keeps the schedule's closing-speed rule (the speed the last
+    /// segment ends with, read within `1e-12` after its end).
+    ///
+    /// Requires `clock() ≤ t < next_release`. The stream commits every
+    /// service interval that ends at or before `t` exactly as advancing to
+    /// `next_release` (or finishing) would; the interval covering `t` is
+    /// read, not committed, so `C`'s future beyond `t` is not simulated.
+    /// The stream is left between events: offering the job released at
+    /// `next_release` (or finishing) afterwards continues bit for bit as
+    /// if no read had happened. Errors are those [`CStream::advance_to`] /
+    /// [`CStream::finish`] raise on the committed intervals and the one
+    /// covering `t`.
+    pub fn speed_at(&mut self, t: f64, next_release: f64) -> SimResult<f64> {
+        debug_assert!(self.t <= t && t < next_release, "speed read outside [clock, next release)");
+        let finishing = next_release == f64::INFINITY;
+        Ok(match self.drain_until(next_release, finishing, t, &mut |_| {})? {
+            Some(seg) => seg.speed_at(self.law, t),
+            None => match &self.last_seg {
+                Some(s) if (t - s.end).abs() <= 1e-12 => s.speed_at(self.law, t),
+                _ => 0.0,
+            },
+        })
     }
 
     /// The segments this stream retires if no further job arrives: a copy

@@ -31,6 +31,7 @@
 
 use ncss_core::run_c;
 use ncss_sim::{Instance, PowerLaw, SimError, SimResult};
+use std::collections::BinaryHeap;
 
 /// Solver knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,28 +83,66 @@ impl FracOpt {
 /// Euclidean projection of `v` onto the scaled simplex
 /// `{x ≥ 0, Σ x = total}` (in place).
 pub fn project_simplex(v: &mut [f64], total: f64) {
+    project_simplex_in(v, total, &mut Vec::new());
+}
+
+/// An `f64` ordered by [`f64::total_cmp`], so a [`BinaryHeap`] of them pops
+/// entries in descending `total_cmp` order. `total_cmp` keeps the
+/// projection panic-free on NaN input; a NaN entry propagates into the
+/// output and is caught by the run-level guards.
+#[derive(Debug, Clone, Copy)]
+struct ByTotal(f64);
+
+impl PartialEq for ByTotal {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for ByTotal {}
+
+impl PartialOrd for ByTotal {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByTotal {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// [`project_simplex`] with a reusable scratch buffer.
+///
+/// The threshold scan reads entries in descending order only until the
+/// first entry falls below its candidate threshold, so the entries go into
+/// a max-heap (O(len) to build) and are popped one at a time, instead of
+/// sorting all of them. Entries equal under `total_cmp` have equal bits, so
+/// the running sum adds the same values in the same order as a full
+/// descending sort and the result is bit-identical to it.
+fn project_simplex_in(v: &mut [f64], total: f64, scratch: &mut Vec<ByTotal>) {
     debug_assert!(total >= 0.0);
     if v.is_empty() {
         return;
     }
-    let mut u: Vec<f64> = v.to_vec();
-    // total_cmp keeps the projection panic-free on NaN input; a NaN entry
-    // propagates into the output and is caught by the run-level guards.
-    u.sort_by(|a, b| b.total_cmp(a));
+    scratch.clear();
+    scratch.extend(v.iter().map(|&x| ByTotal(x)));
+    let mut heap = BinaryHeap::from(std::mem::take(scratch));
     let mut cum = 0.0;
     let mut theta = 0.0;
-    let mut found = false;
-    for (k, &uk) in u.iter().enumerate() {
+    let mut k = 0usize;
+    while let Some(ByTotal(uk)) = heap.pop() {
         cum += uk;
-        let cand = (cum - total) / (k + 1) as f64;
+        k += 1;
+        let cand = (cum - total) / k as f64;
         if uk - cand > 0.0 {
             theta = cand;
         } else {
-            found = true;
             break;
         }
     }
-    let _ = found;
+    *scratch = heap.into_vec();
     for x in v.iter_mut() {
         *x = (*x - theta).max(0.0);
     }
@@ -181,27 +220,27 @@ pub fn solve_fractional_opt(instance: &Instance, law: PowerLaw, opts: SolverOpti
             }
         }
     }
+    let mut scratch = Vec::with_capacity(m);
     for (j, job) in jobs.iter().enumerate() {
-        project_simplex(&mut x[j], job.volume);
+        project_simplex_in(&mut x[j], job.volume, &mut scratch);
     }
 
-    let sigma = |x: &[Vec<f64>]| -> Vec<f64> {
-        let mut s = vec![0.0; m];
+    let sigma = |x: &[Vec<f64>], s: &mut [f64]| {
+        s.fill(0.0);
         for (j, xs) in x.iter().enumerate() {
-            for (k, &v) in xs.iter().enumerate() {
-                s[start[j] + k] += v;
+            for (si, &v) in s[start[j]..].iter_mut().zip(xs) {
+                *si += v;
             }
         }
-        s
     };
     let f_of = |x: &[Vec<f64>], sig: &[f64]| -> f64 {
         let mut f = 0.0;
-        for i in 0..m {
-            f += h[i] * law.power(sig[i] / h[i]);
+        for (&hi, &s) in h.iter().zip(sig) {
+            f += hi * law.power(s / hi);
         }
-        for (j, xs) in x.iter().enumerate() {
-            for (k, &v) in xs.iter().enumerate() {
-                f += cost_c[j][k] * v;
+        for (c, xs) in cost_c.iter().zip(x) {
+            for (&ck, &v) in c.iter().zip(xs) {
+                f += ck * v;
             }
         }
         f
@@ -209,29 +248,37 @@ pub fn solve_fractional_opt(instance: &Instance, law: PowerLaw, opts: SolverOpti
 
     let total_volume: f64 = jobs.iter().map(|j| j.volume).sum();
     let mut lr = 0.1 * total_volume / m as f64;
-    let mut sig = sigma(&x);
+    let mut sig = vec![0.0; m];
+    sigma(&x, &mut sig);
     let mut f = f_of(&x, &sig);
     let mut iters = 0usize;
     let mut stall = 0usize;
+    // Trial buffers: each backtracking trial writes `xn`/`sn` in place, and
+    // an accepted trial swaps them with `x`/`sig`, so trials allocate nothing.
+    let mut xn = x.clone();
+    let mut sn = vec![0.0; m];
+    let mut pd = vec![0.0; m];
     while iters < opts.max_iters {
         iters += 1;
         // Gradient.
-        let pd: Vec<f64> = (0..m).map(|i| law.power_deriv(sig[i] / h[i])).collect();
+        for (d, (&s, &hi)) in pd.iter_mut().zip(sig.iter().zip(&h)) {
+            *d = law.power_deriv(s / hi);
+        }
         let mut accepted = false;
         for _ in 0..60 {
-            let mut xn = x.clone();
-            for (j, xs) in xn.iter_mut().enumerate() {
-                for (k, v) in xs.iter_mut().enumerate() {
-                    *v -= lr * (pd[start[j] + k] + cost_c[j][k]);
+            for (j, (xs, xo)) in xn.iter_mut().zip(&x).enumerate() {
+                let grad = pd[start[j]..].iter().zip(&cost_c[j]);
+                for ((v, &o), (&p, &c)) in xs.iter_mut().zip(xo).zip(grad) {
+                    *v = o - lr * (p + c);
                 }
-                project_simplex(xs, jobs[j].volume);
+                project_simplex_in(xs, jobs[j].volume, &mut scratch);
             }
-            let sn = sigma(&xn);
+            sigma(&xn, &mut sn);
             let fn_ = f_of(&xn, &sn);
             if fn_ <= f {
                 let improve = f - fn_;
-                x = xn;
-                sig = sn;
+                std::mem::swap(&mut x, &mut xn);
+                std::mem::swap(&mut sig, &mut sn);
                 f = fn_;
                 lr *= 1.15;
                 accepted = true;

@@ -87,7 +87,7 @@ pub fn accrue_waiting_flow(
 /// Structure-of-arrays store for the active-job working set.
 ///
 /// See the [module docs](self) for the layout and recycling contract.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct JobArena {
     release: Vec<f64>,
     volume: Vec<f64>,
@@ -99,6 +99,30 @@ pub struct JobArena {
     free: Vec<usize>,
     live: usize,
     peak_live: usize,
+}
+
+impl Clone for JobArena {
+    fn clone(&self) -> Self {
+        let mut arena = Self::default();
+        arena.clone_from(self);
+        arena
+    }
+
+    /// Field-wise, reusing `self`'s slices: a caller that re-clones one
+    /// arena into the same target per query allocates nothing once the
+    /// target's capacity has caught up.
+    fn clone_from(&mut self, source: &Self) {
+        self.release.clone_from(&source.release);
+        self.volume.clone_from(&source.volume);
+        self.density.clone_from(&source.density);
+        self.remaining.clone_from(&source.remaining);
+        self.frac_flow.clone_from(&source.frac_flow);
+        self.acc_t.clone_from(&source.acc_t);
+        self.id.clone_from(&source.id);
+        self.free.clone_from(&source.free);
+        self.live = source.live;
+        self.peak_live = source.peak_live;
+    }
 }
 
 impl JobArena {

@@ -14,7 +14,10 @@
 #      reported so sharding/step-cap regressions are visible in CI logs
 #   5. closed-form-vs-quadrature property tests in --release (the
 #      analytic fast path must match the quadrature reference to 1e-12
-#      where debug_assert! is compiled out)
+#      where debug_assert! is compiled out), with the bitwise references
+#      beside them: batch vs incremental audit, sharded vs serial fleets,
+#      the serial multi-machine loops, and the offline `compare` path
+#      (NC non-uniform vs its from-scratch speed oracle, pinned OPT bits)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately
@@ -64,8 +67,8 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference"
-cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference --test offline_reference"
+cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference --test offline_reference
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli

@@ -76,9 +76,8 @@ fn honest_fleets_pass_the_time_axis_checks_at_every_scale() {
                         assert!(b.passed, "{ctx}: {} failed\n{}", b.name, batch.render());
                     }
                 }
-                if a == 1.0 {
-                    assert!(batch.passed(), "{ctx}\n{}", batch.render());
-                }
+                assert!(batch.passed(), "{ctx}\n{}", batch.render());
+                assert!(incremental.passed(), "{ctx}\n{}", incremental.render());
             }
         }
     }
