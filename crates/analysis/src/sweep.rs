@@ -8,7 +8,7 @@
 //! test below proves it against the workload generators).
 //!
 //! The scheduler itself lives in the `ncss-pool` crate — the same
-//! atomic-cursor chunked pool that shards the audit quadrature and the
+//! atomic-cursor chunked pool that shards the fleet replays and the
 //! fault/contract suites — and these functions re-export its auto-sized
 //! policy. [`parallel_map`] balances dynamically via an atomic cursor —
 //! right for uneven cells (OPT solves of different sizes).

@@ -24,9 +24,15 @@
 //! * per-job volume conservation: the re-derived volume delivered to each
 //!   job matches its size;
 //! * completion consistency: completion times re-derived by inverting the
-//!   cumulative volume (binary search over a prefix-sum
-//!   [`ncss_sim::SegmentIndex`], analytic inversion inside the crossing
-//!   segment) match the reported ones.
+//!   cumulative volume (binary search over the per-job prefix sums,
+//!   analytic inversion inside the crossing segment) match the reported
+//!   ones.
+//!
+//! One auditor does this work per timeline shape: [`IncrementalAudit`] for
+//! one timeline, [`IncrementalMultiAudit`] for a fleet. They consume a
+//! run's events as they happen, so a stream can be audited in bounded
+//! memory; [`ScheduleAudit`] and [`MultiAudit`] audit a finished run by
+//! replaying its releases, segments and completions into them.
 //!
 //! The audit never panics: every finding is a [`CheckVerdict`] inside a
 //! structured [`AuditReport`] with a per-invariant residual, so callers (the
@@ -40,17 +46,7 @@
 //! sharing) are covered by the weaker but still useful
 //! [`ScheduleAudit::audit_outcome`].
 //!
-//! ## Parallelism and timing
-//!
-//! The integral derivations — per-job volume/completion re-derivation,
-//! energy per segment, fractional flow per job, and the `O(k²)`
-//! no-double-service pass — fan out over the shared `ncss-pool`
-//! persistent worker pool ([`AuditConfig::threads`] picks the worker
-//! count; workers are long-lived, so audits pay no per-call spawn). The
-//! fan-out is order-preserving and every sum is reduced serially, so
-//! **serial and parallel audits produce identical verdicts and residuals**
-//! and the residual tolerances are unchanged under sharding (DESIGN.md
-//! §8). Every verdict records the wall-time its check took
+//! Every verdict records the wall-time its check took
 //! ([`CheckVerdict::elapsed_ns`]); bench binaries surface these as the
 //! `audit_timing` block in `BENCH_*.json` (EXPERIMENTS.md).
 

@@ -6,39 +6,25 @@
 //! The outcome-level audit cannot see cross-machine violations: a job
 //! double-served on two machines in overlapping wall-clock time still sums
 //! to plausible objective numbers. [`MultiAudit`] closes that gap by
-//! re-deriving everything from the per-machine speed curves:
-//!
-//! * every machine's timeline satisfies the single-machine segment
-//!   invariants (wellformed, release-before-service) — the same helpers
-//!   the single-machine pass uses;
-//! * **no-double-service**: no job is served on two different machines in
-//!   overlapping time (the residual is the worst overlap duration);
-//! * **cross-machine-volume**: per-job re-derived volume summed over all
-//!   machines equals the job size;
-//! * total energy, fractional and integral flow re-derived from the
-//!   merged per-job timelines match the reported outcome;
-//! * the reported numbers are internally consistent (the shared outcome
-//!   checks).
+//! replaying the timelines into an [`IncrementalMultiAudit`], which checks
+//! every machine's timeline, no-double-service and cross-machine volume,
+//! and re-derives the fleet-total objective from the merged per-job
+//! timelines.
 //!
 //! Machines legitimately overlap each other in wall-clock time, so the
 //! slice of schedules can *not* be concatenated into a single
 //! [`Schedule`] — the merge happens per job, where serial service is an
 //! invariant rather than an accident.
 
-use crate::closed_form;
+use crate::incremental::IncrementalMultiAudit;
 use crate::report::{AuditReport, Stopwatch};
-use crate::schedule_audit::{
-    derive_per_job, frac_flow_rederived, measurement_resolution, release_residual, residual,
-    sampled, wellformed_residual, AuditConfig, ScheduleAudit,
-};
-use ncss_sim::{Evaluated, Instance, PowerLaw, Schedule, Segment};
-
-use crate::quad::integrate;
+use crate::schedule_audit::{replay_completions, AuditConfig};
+use ncss_sim::{Evaluated, Instance, Schedule};
 
 /// Independent invariant checker for parallel-machine runs.
 ///
 /// Construct with [`MultiAudit::new`] for custom tolerances; the
-/// [`AuditConfig`] semantics are identical to [`ScheduleAudit`]'s.
+/// [`AuditConfig`] semantics are identical to [`crate::ScheduleAudit`]'s.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MultiAudit {
     config: AuditConfig,
@@ -61,11 +47,11 @@ impl MultiAudit {
     /// timeline (empty schedules for idle machines are fine), `reported`
     /// the fleet-wide evaluation the run claims.
     ///
-    /// Per-machine scans, the `O(k²)` per-job no-double-service pass, and
-    /// every quadrature re-derivation fan out over [`AuditConfig::pool`];
-    /// each check records its wall-time. As in the single-machine pass,
-    /// shared derivation cost rides with the first consuming check
-    /// (`cross-machine-volume` carries the per-job derivation).
+    /// The run is replayed into an [`IncrementalMultiAudit`] with one law
+    /// per schedule: every release in id order, then each machine's
+    /// segments in machine order, then the reported completions in id
+    /// order. The feed, which carries the per-job derivations, is charged
+    /// to the first check (`power-law-consistent`).
     #[must_use]
     pub fn audit(
         &self,
@@ -73,217 +59,30 @@ impl MultiAudit {
         schedules: &[Schedule],
         reported: &Evaluated,
     ) -> AuditReport {
-        let mut report = AuditReport::default();
-        let mut clock = Stopwatch::new();
-        let pool = self.config.pool();
-        let n = instance.len();
-        // An all-idle fleet has no law to read; any law integrates the
-        // empty segment set to zero, so the fallback is inert.
-        let pl = schedules.first().map_or_else(PowerLaw::cube, Schedule::power_law);
-        let horizon = schedules.iter().map(|s| s.end_time().abs()).fold(0.0f64, f64::max);
-        let time_tol = self.config.time_slack(horizon);
-
-        // Fold order-preserved per-machine `(residual, detail)` rows into
-        // the single worst row, serially, so the verdict is identical for
-        // any worker count (strict `>` keeps the first/lowest machine on
-        // ties, matching the serial scan).
-        let worst_of = |rows: Vec<(f64, String)>, ok: &str| -> (f64, String) {
-            let mut worst = 0.0f64;
-            let mut detail = String::from(ok);
-            for (m, (w, d)) in rows.into_iter().enumerate() {
-                if w > worst {
-                    worst = w;
-                    detail = format!("machine {m}: {d}");
-                }
-            }
-            (worst, detail)
-        };
-
-        // --- power-law-consistent: one fleet, one energy model.
-        let mut worst = 0.0f64;
-        let mut detail = String::from("all machines share one power law");
-        for (m, s) in schedules.iter().enumerate() {
-            let d = (s.power_law().alpha() - pl.alpha()).abs();
-            if !(d <= worst) {
-                worst = if d.is_nan() { f64::INFINITY } else { d };
-                detail = format!(
-                    "machine {m}: α = {} vs machine 0: α = {}",
-                    s.power_law().alpha(),
-                    pl.alpha()
-                );
+        let clock = Stopwatch::new();
+        let laws = schedules.iter().map(Schedule::power_law).collect();
+        let mut audit = IncrementalMultiAudit::new(laws, self.config);
+        for (id, job) in instance.jobs().iter().enumerate() {
+            audit.on_release(id, *job);
+        }
+        for (m, schedule) in schedules.iter().enumerate() {
+            for seg in schedule.segments() {
+                // Every trip is folded into the report as well.
+                let _ = audit.on_segment(m, *seg);
             }
         }
-        report.record_timed("power-law-consistent", worst, self.config.rel_tol, detail, clock.lap());
-
-        // --- per-machine segment invariants, via the single-machine
-        // helpers, one machine per pool cell.
-        let rows = pool.map(schedules, |s| wellformed_residual(s.segments()));
-        let (worst, detail) = worst_of(rows, "all machine timelines ordered");
-        report.record_timed("segments-wellformed", worst, time_tol, detail, clock.lap());
-
-        let rows = pool.map(schedules, |s| release_residual(instance, s.segments()));
-        let (worst, detail) = worst_of(rows, "no early service");
-        report.record_timed("release-before-service", worst, time_tol, detail, clock.lap());
-
-        // --- gather each job's serving segments across machines, in
-        // increasing start order.
-        let mut by_job: Vec<Vec<(usize, Segment)>> = vec![Vec::new(); n];
-        for (m, sched) in schedules.iter().enumerate() {
-            for s in sched.segments() {
-                if let Some(j) = s.job {
-                    if j < n {
-                        by_job[j].push((m, *s));
-                    }
-                }
-            }
-        }
-        for segs in &mut by_job {
-            segs.sort_by(|a, b| a.1.start.total_cmp(&b.1.start));
-        }
-
-        // --- no-double-service: a job's serving intervals on *different*
-        // machines must not overlap in wall-clock time. (Same-machine
-        // overlap is already excluded by segments-wellformed.) The
-        // residual is the worst overlap duration, so a clean run audits
-        // at exactly zero. The O(k²) interval comparison is per job, so
-        // jobs fan out over the pool and the worst rows fold serially.
-        let per_job_overlap: Vec<(f64, String)> = pool.map(&by_job, |segs| {
-            let mut worst = f64::NEG_INFINITY;
-            let mut detail = String::new();
-            for (i, (m_a, a)) in segs.iter().enumerate() {
-                for (m_b, b) in &segs[i + 1..] {
-                    if m_a == m_b {
-                        continue;
-                    }
-                    let lo = a.start.max(b.start);
-                    let hi = a.end.min(b.end);
-                    let overlap = hi - lo;
-                    if overlap > worst {
-                        worst = overlap;
-                        detail = format!("machines {m_a}/{m_b} both serve [{lo:.6}, {hi:.6}]");
-                    }
-                }
-            }
-            (worst, detail)
+        replay_completions(instance.len(), &reported.per_job, |id, c, frac, int| {
+            let _ = audit.on_complete(id, c, frac, int);
         });
-        let mut worst = 0.0f64;
-        let mut detail = String::from("no cross-machine overlap");
-        for (j, (w, d)) in per_job_overlap.into_iter().enumerate() {
-            if w > worst {
-                worst = w;
-                detail = format!("job {j}: {d}");
-            }
-        }
-        report.record_timed("no-double-service", worst.max(0.0), time_tol, detail, clock.lap());
-
-        // --- cross-machine volume conservation and derived completions,
-        // over the merged per-job timelines.
-        let merged: Vec<Vec<Segment>> =
-            by_job.iter().map(|segs| segs.iter().map(|(_, s)| *s).collect()).collect();
-        let resolution =
-            measurement_resolution(pl, schedules.iter().map(Schedule::segments), horizon);
-        let (delivered, completions) = derive_per_job(
-            pool,
-            pl,
-            instance,
-            &merged,
-            &reported.per_job.completion,
-            self.config.rel_tol,
-            resolution,
-            self.config.cross_check_stride,
-        );
-
-        let mut worst = 0.0f64;
-        let mut detail = String::from("all volumes conserved across machines");
-        for (j, &cum) in delivered.iter().enumerate() {
-            let volume = instance.job(j).volume;
-            let r = (cum - volume).abs() / (1.0 + volume + resolution);
-            if !(r <= worst) {
-                worst = r;
-                detail = format!("job {j}: machines delivered {cum:.9e} of {volume:.9e}");
-            }
-        }
-        report.record_timed("cross-machine-volume", worst, self.config.rel_tol, detail, clock.lap());
-
-        let mut worst = 0.0f64;
-        let mut detail = String::from("completions agree");
-        for j in 0..n {
-            let reported_c = reported.per_job.completion.get(j).copied().unwrap_or(f64::NAN);
-            let r = residual(completions[j], reported_c);
-            let r = if r.is_nan() { f64::INFINITY } else { r };
-            if r > worst {
-                worst = r;
-                detail =
-                    format!("job {j}: derived {:.9} vs reported {reported_c:.9}", completions[j]);
-            }
-        }
-        report.record_timed("completion-consistency", worst, self.config.rel_tol, detail, clock.lap());
-
-        // --- total energy: closed-form antiderivative per segment across
-        // the whole fleet (every stride-th segment re-measured by
-        // quadrature — the cross-check tier), fanned over the pool and
-        // summed serially in timeline order (machine 0's segments first,
-        // as in the serial pass).
-        let stride = self.config.cross_check_stride;
-        let fleet_segments: Vec<Segment> =
-            schedules.iter().flat_map(Schedule::segments).copied().collect();
-        let seg_idx: Vec<usize> = (0..fleet_segments.len()).collect();
-        let energy: f64 = pool
-            .map(&seg_idx, |&i| {
-                let s = &fleet_segments[i];
-                if sampled(stride, i) {
-                    integrate(|t| s.power_at(pl, t), s.start, s.end)
-                } else {
-                    closed_form::energy(pl, s)
-                }
-            })
-            .iter()
-            .sum();
-        report.record_timed(
-            "energy-recomputed",
-            residual(energy, reported.objective.energy),
-            self.config.rel_tol,
-            format!("re-derived {energy:.9e} vs reported {:.9e}", reported.objective.energy),
-            clock.lap(),
-        );
-
-        let frac = frac_flow_rederived(pool, pl, instance, &merged, &completions, stride);
-        report.record_timed(
-            "frac-flow-recomputed",
-            residual(frac, reported.objective.frac_flow),
-            self.config.rel_tol,
-            format!("re-derived {frac:.9e} vs reported {:.9e}", reported.objective.frac_flow),
-            clock.lap(),
-        );
-
-        let int: f64 = (0..n)
-            .map(|j| {
-                let job = instance.job(j);
-                job.weight() * (completions[j] - job.release)
-            })
-            .sum();
-        report.record_timed(
-            "int-flow-recomputed",
-            residual(int, reported.objective.int_flow),
-            self.config.rel_tol,
-            format!("derived {int:.9e} vs reported {:.9e}", reported.objective.int_flow),
-            clock.lap(),
-        );
-
-        ScheduleAudit::new(self.config).outcome_checks(
-            &mut report,
-            instance,
-            &reported.objective,
-            &reported.per_job,
-        );
-        report
+        audit.finish(&reported.objective, clock)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncss_sim::{Job, Objective, PerJob, PowerLaw, SpeedLaw};
+    use crate::ScheduleAudit;
+    use ncss_sim::{Job, Objective, PerJob, PowerLaw, Segment, SpeedLaw};
 
     fn pl2() -> PowerLaw {
         PowerLaw::new(2.0).unwrap()

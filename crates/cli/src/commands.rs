@@ -38,11 +38,10 @@ commands:
   sweep    --input FILE [--alphas LO:HI:N]
            competitive-ratio curve of C and NC across power-law exponents
   audit    --algorithm A --input FILE [--alpha ALPHA] [--rel-tol T] [--time-tol T]
-           [--machines K] [--threads K] [--cross-check S] [--corrupt WHAT]
+           [--machines K] [--cross-check S] [--corrupt WHAT]
            re-derive the run's objective independently (closed-form segment
            integrals, every S-th integral re-measured by quadrature) and
            check every schedule invariant, reporting per-check wall-time;
-           --threads K forces K audit workers (default: auto-size);
            --cross-check S sets the quadrature sampling stride (default 8;
            1 = re-measure everything, 0 = closed forms only);
            exits non-zero if any check fails
@@ -58,13 +57,12 @@ commands:
            the segments under the honest kernel: energy-recomputed must
            go red
   fleet    --input FILE [--algorithm c-par|nc-par|dispatch] [--alpha ALPHA]
-           [--machines K] [--threads T] [--audit incremental|batch]
-           [--check-serial 0|1] [--corrupt WHAT] [--max-rows N]
+           [--machines K] [--threads T] [--check-serial 0|1]
+           [--corrupt WHAT] [--max-rows N]
            sharded multi-machine run: the serial dispatcher records a
            deterministic dispatch log, the log replays as worker-pool
            tasks (--threads T, default auto), and the event-driven
-           cross-machine auditor gates the merged outcome (--audit
-           incremental, default; batch uses MultiAudit). Unless
+           cross-machine auditor gates the merged outcome. Unless
            --check-serial 0, the log is replayed again on one worker (the
            serial runner) and the two outcomes must match bit for bit
            (DESIGN.md §12). --corrupt
@@ -470,14 +468,13 @@ fn cmd_audit(args: &ParsedArgs) -> Result<String, String> {
     let law = law_of(args)?;
     let name = args.require("algorithm")?;
     let defaults = AuditConfig::default();
-    let threads = args.usize_or("threads", 0)?; // 0 = auto-size to the machine
     let config = AuditConfig {
         rel_tol: args.f64_or("rel-tol", defaults.rel_tol)?,
         time_tol: args.f64_or("time-tol", defaults.time_tol)?,
-        threads: if threads == 0 { None } else { Some(threads) },
         // Quadrature cross-check stride for the closed-form fast path:
         // 1 re-measures every integral by quadrature, 0 disables the tier.
         cross_check_stride: args.usize_or("cross-check", defaults.cross_check_stride)?,
+        ..defaults
     };
     if MULTI_ALGOS.contains(&name.as_str()) {
         return audit_multi_machine(args, &inst, law, &name, config);

@@ -11,7 +11,7 @@
 
 use crate::args::ParsedArgs;
 use ncss_analysis::{fmt_f, Table};
-use ncss_audit::{AuditConfig, MultiAudit, AuditReport};
+use ncss_audit::AuditConfig;
 use ncss_multi::fleet::{
     audit_fleet, replay_c, replay_nc, replay_nc_assigned, DispatchLog,
 };
@@ -135,7 +135,6 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
     let threads = args.usize_or("threads", 0)?; // 0 = size to the host
     let pool = if threads == 0 { Pool::auto() } else { Pool::with_threads(threads) };
     let algorithm = args.get_or("algorithm", "nc-par");
-    let audit_mode = args.get_or("audit", "incremental");
     let check_serial = args.usize_or("check-serial", 1)? != 0;
 
     // Phase 1 (serial): record the dispatcher's decisions. Phase 2
@@ -171,27 +170,14 @@ pub fn cmd_fleet(args: &ParsedArgs) -> Result<String, String> {
         corrupt_outcome(&mut sharded, what)?;
     }
 
-    let config = AuditConfig::default();
-    let report: AuditReport = match audit_mode.as_str() {
-        "incremental" => audit_fleet(&inst, law, &sharded, config),
-        "batch" => {
-            let reported = ncss_sim::Evaluated {
-                objective: sharded.objective,
-                per_job: sharded.per_job.clone(),
-            };
-            MultiAudit::new(config).audit(&inst, &sharded.schedules, &reported)
-        }
-        other => return Err(format!("unknown --audit mode '{other}' (incremental | batch)")),
-    };
+    let report = audit_fleet(&inst, law, &sharded, AuditConfig::default());
 
     let o = &sharded.objective;
     let mut out = format!(
-        "sharded {algorithm} on {} jobs x {machines} machines (alpha = {}, {} pool workers, \
-         {} audit)\n",
+        "sharded {algorithm} on {} jobs x {machines} machines (alpha = {}, {} pool workers)\n",
         inst.len(),
         law.alpha(),
         pool.worker_count(machines),
-        audit_mode,
     );
     out.push_str(&format!(
         "frac objective {}   int objective {}   serial==sharded: {}\n",
@@ -248,19 +234,15 @@ mod tests {
     }
 
     #[test]
-    fn fleet_batch_audit_and_unchecked_serial() {
+    fn fleet_unchecked_serial() {
         let path = write_trace();
         let out = run_cli(&v(&[
             "fleet", "--input", &path, "--alpha", "2", "--machines", "2",
-            "--audit", "batch", "--check-serial", "0",
+            "--check-serial", "0",
         ]))
         .unwrap();
-        assert!(out.contains("batch audit"), "{out}");
+        assert!(out.contains("audit: PASS"), "{out}");
         assert!(out.contains("not checked"), "{out}");
-        assert!(run_cli(&v(&[
-            "fleet", "--input", &path, "--audit", "psychic",
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -270,14 +252,11 @@ mod tests {
         // duplicated machine timeline trips double-service.
         for (what, check) in [("energy", "FAIL energy-recomputed"), ("schedule", "FAIL no-double-service")]
         {
-            for mode in ["incremental", "batch"] {
-                let msg = run_cli(&v(&[
-                    "fleet", "--input", &path, "--alpha", "2", "--machines", "2",
-                    "--audit", mode, "--corrupt", what,
-                ]))
-                .expect_err(&format!("--corrupt {what} ({mode}) must fail"));
-                assert!(msg.contains(check), "{what}/{mode}: {msg}");
-            }
+            let msg = run_cli(&v(&[
+                "fleet", "--input", &path, "--alpha", "2", "--machines", "2", "--corrupt", what,
+            ]))
+            .expect_err(&format!("--corrupt {what} must fail"));
+            assert!(msg.contains(check), "{what}: {msg}");
         }
         assert!(run_cli(&v(&[
             "fleet", "--input", &path, "--corrupt", "entropy",

@@ -34,13 +34,13 @@ use crate::c_par::{greedy_c_par_assignment, validate_machines, ParOutcome};
 use crate::dispatch::{collect_assignment, ImmediateDispatch};
 use crate::nc_par::GrowthService;
 use crate::shadow::{ByTime, MachineShadow};
-use ncss_audit::{AuditConfig, AuditReport, IncrementalMultiAudit};
+use ncss_audit::{AuditConfig, AuditReport, MultiAudit};
 use ncss_core::run_c;
 use ncss_pool::Pool;
 use ncss_sim::numeric::tie_slack;
 use ncss_sim::{
-    Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment, SimError,
-    SimResult,
+    Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, ScheduleBuilder, Segment,
+    SimError, SimResult,
 };
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -542,12 +542,11 @@ pub fn run_nc_par_sharded(
     replay_nc(instance, law, &log, pool)
 }
 
-/// Gate a fleet outcome with the event-driven cross-machine auditor
-/// ([`IncrementalMultiAudit`]): every release, every per-machine segment
-/// (machine-chronological, as the pool tasks retired them), and every
-/// completion is fed through the O(δ) checks, and `finalize` emits the
-/// standard 11-check report — the same named checks, fold order, and
-/// tolerances as the batch `MultiAudit`.
+/// Gate a fleet outcome with the cross-machine auditor: [`MultiAudit`]
+/// replays every release, every machine's segments and every reported
+/// completion into the event-driven `IncrementalMultiAudit`. The
+/// schedules carry the run's power law, so `law` is not read. Short
+/// per-job vectors make a failing report, never a panic.
 ///
 /// # Examples
 ///
@@ -570,31 +569,12 @@ pub fn run_nc_par_sharded(
 #[must_use]
 pub fn audit_fleet(
     instance: &Instance,
-    law: PowerLaw,
+    _law: PowerLaw,
     outcome: &ParOutcome,
     config: AuditConfig,
 ) -> AuditReport {
-    let machines = outcome.schedules.len();
-    let mut audit = IncrementalMultiAudit::new(vec![law; machines], config);
-    for (id, job) in instance.jobs().iter().enumerate() {
-        audit.on_release(id, *job);
-    }
-    for (m, sched) in outcome.schedules.iter().enumerate() {
-        for seg in sched.segments() {
-            // Eager trips surface in the finalized report too; the gate
-            // reads the report so no trip is dropped here.
-            let _ = audit.on_segment(m, *seg);
-        }
-    }
-    for (id, &c) in outcome.per_job.completion.iter().enumerate() {
-        let _ = audit.on_complete(
-            id,
-            c,
-            outcome.per_job.frac_flow[id],
-            outcome.per_job.int_flow[id],
-        );
-    }
-    audit.finalize(&outcome.objective)
+    let reported = Evaluated { objective: outcome.objective, per_job: outcome.per_job.clone() };
+    MultiAudit::new(config).audit(instance, &outcome.schedules, &reported)
 }
 
 #[cfg(test)]
@@ -675,6 +655,22 @@ mod tests {
         let report = audit_fleet(&inst, pl(2.0), &dup, AuditConfig::default());
         assert!(!report.passed());
         assert!(report.failures().iter().any(|c| c.name == "no-double-service"));
+    }
+
+    #[test]
+    fn fleet_audit_fails_short_per_job_vectors_without_panicking() {
+        let inst = inst();
+        let out = run_c_par_sharded(&inst, pl(2.0), 2, &Pool::with_threads(1)).unwrap();
+        let sums = "reported-sums-consistent";
+        for (field, check) in [(0, "completion-after-release"), (1, sums), (2, sums)] {
+            let mut short = out.clone();
+            let pj = &mut short.per_job;
+            [&mut pj.completion, &mut pj.frac_flow, &mut pj.int_flow][field].pop();
+            let report = audit_fleet(&inst, pl(2.0), &short, AuditConfig::default());
+            assert!(!report.passed(), "vector {field}: {}", report.render());
+            let failed = report.failures().iter().any(|c| c.name == check);
+            assert!(failed, "vector {field}: {}", report.render());
+        }
     }
 
     #[test]

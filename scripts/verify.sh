@@ -15,7 +15,8 @@
 #   5. closed-form-vs-quadrature property tests in --release (the
 #      analytic fast path must match the quadrature reference to 1e-12
 #      where debug_assert! is compiled out), with the bitwise references
-#      beside them: batch vs incremental audit, sharded vs serial fleets,
+#      beside them: the replayed audits vs the serial batch re-derivation
+#      in tests/audit_reference.rs, sharded vs serial fleets,
 #      the serial multi-machine loops, and the offline `compare` path
 #      (NC non-uniform vs its from-scratch speed oracle, pinned OPT bits)
 #   6. audit smoke: every schedule-producing algorithm on a generated
@@ -27,7 +28,7 @@
 #      energy-recomputed check
 #   7. fleet smoke: each dispatch log replayed over the pool (DESIGN.md
 #      §12) must match its one-worker replay, the serial runner, bitwise
-#      and pass the incremental cross-machine audit;
+#      and pass the cross-machine audit;
 #      a corrupted outcome must come back non-zero naming the tripped
 #      check; with NCSS_SOAK=1 the full k-sweep study regenerates
 #      BENCH_fleet.json and bench-diffs it against the committed
@@ -67,8 +68,8 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference --test offline_reference"
-cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test fleet_identity --test multi_reference --test offline_reference
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference"
+cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli
@@ -116,21 +117,21 @@ if "$cli" audit --algorithm nc-par --machines 3 --input "$trace" --alpha 2 \
 fi
 echo "multi audit smoke passed"
 
-echo "==> fleet smoke (N-worker vs one-worker replay, incremental audit gate)"
+echo "==> fleet smoke (N-worker vs one-worker replay, cross-machine audit gate)"
 # Every algorithm's dispatch log replayed on several workers must reproduce
 # the one-worker replay, which is the serial runner, bit for bit (the
 # command itself enforces --check-serial 1 by default) and pass the
 # event-driven cross-machine audit.
 for algo in c-par nc-par dispatch; do
     "$cli" fleet --algorithm "$algo" --machines 4 --threads 3 --input "$trace" \
-        --alpha 2 --audit incremental > /dev/null \
+        --alpha 2 > /dev/null \
         || { echo "FAIL: sharded $algo diverged from one-worker replay or failed audit" >&2; exit 1; }
 done
 # Mandatory-red probe: a corrupted sharded outcome must exit non-zero AND
 # name the tripped check in the report.
 fleet_log="$(mktemp /tmp/ncss_verify_fleet.XXXXXX.log)"
 if "$cli" fleet --algorithm nc-par --machines 4 --input "$trace" --alpha 2 \
-        --audit incremental --corrupt energy > /dev/null 2> "$fleet_log"; then
+        --corrupt energy > /dev/null 2> "$fleet_log"; then
     echo "FAIL: corrupted sharded outcome passed the fleet audit" >&2
     rm -f "$fleet_log"; exit 1
 fi

@@ -18,7 +18,7 @@
 //! | [`multi`] | identical parallel machines: C-PAR, NC-PAR, dispatch policies, the `Ω(k^{1−1/α})` lower-bound game |
 //! | [`audit`] | independent run auditing: closed-form re-derivation of objectives (sampled quadrature cross-check tier) + event-level invariants |
 //! | [`analysis`] | ratio measurement, parallel sweeps, ASCII tables/charts |
-//! | [`pool`] | persistent worker pool: order-preserving parallel maps used by sweeps, audits, the OPT solver, and the fault/contract suites |
+//! | [`pool`] | persistent worker pool: order-preserving parallel maps used by sweeps, fleet replays, the OPT solver, and the fault/contract suites |
 //! | [`trace`] | crash-safe record/replay: CRC-framed WAL traces, torn-write recovery, checkpoint/resume, corruption contract |
 //!
 //! ## Quickstart

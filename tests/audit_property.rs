@@ -5,25 +5,22 @@
 //! * **Tamper sensitivity** — a seeded tamperer perturbs known-good runs
 //!   (segment shifts, speed scalings, dropped segments, completion swaps,
 //!   objective edits) and every tampering must trip at least one *named*
-//!   check. Trials shard over `ncss-pool`, the same worker pool the audits
-//!   themselves use.
-//! * **Serial == parallel determinism** — auditing with one worker and with
-//!   many workers must produce bit-identical verdicts: same check names in
-//!   the same order, same pass/fail, same residual bits, same detail text.
-//!   Only the wall-clock `elapsed_ns` fields may differ.
-//! * **Incremental == batch parity** — feeding the same run through the
-//!   event-driven [`IncrementalAudit`] must reproduce the batch auditor's
-//!   verdicts: identical check names in identical order, identical
-//!   pass/fail, honest residuals bitwise equal, and every tampered
-//!   residual within an order of magnitude across the full
-//!   tamper × workload-suite × α matrix.
+//!   check. Trials shard over `ncss-pool`.
+//! * **Replay == reference parity** — `ScheduleAudit` and `MultiAudit`
+//!   replay a finished run into the event-driven auditors; they must
+//!   reproduce the serial batch re-derivation kept in
+//!   `tests/audit_reference.rs`: identical check names in identical order,
+//!   identical pass/fail, honest residuals bitwise equal, and every
+//!   tampered residual within an order of magnitude across the full
+//!   tamper × workload-suite × α matrix (fleets: or within `1e-12`).
 
-use ncss::audit::{
-    AuditConfig, AuditReport, IncrementalAudit, IncrementalMultiAudit, MultiAudit, ScheduleAudit,
-};
+#[path = "audit_reference.rs"]
+mod reference;
+
+use ncss::audit::{AuditConfig, AuditReport, MultiAudit, ScheduleAudit};
 use ncss::core::run_c;
 use ncss::pool::Pool;
-use ncss::sim::{Evaluated, Instance, Job, Objective, PerJob, PowerLaw, Schedule, Segment};
+use ncss::sim::{Evaluated, Instance, PowerLaw, Schedule};
 use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
 use ncss_rng::Pcg64;
 
@@ -198,60 +195,8 @@ fn duplicated_fleet_timelines_trip_the_cross_machine_auditor() {
     );
 }
 
-/// Everything observable except wall-time must match bit-for-bit.
-fn assert_reports_identical(serial: &AuditReport, parallel: &AuditReport, context: &str) {
-    assert_eq!(serial.checks.len(), parallel.checks.len(), "{context}: check count");
-    for (s, p) in serial.checks.iter().zip(&parallel.checks) {
-        assert_eq!(s.name, p.name, "{context}: check order");
-        assert_eq!(s.passed, p.passed, "{context}: {} verdict", s.name);
-        assert_eq!(
-            s.residual.to_bits(),
-            p.residual.to_bits(),
-            "{context}: {} residual {} vs {}",
-            s.name,
-            s.residual,
-            p.residual
-        );
-        assert_eq!(s.detail, p.detail, "{context}: {} detail", s.name);
-    }
-}
-
-#[test]
-fn serial_and_parallel_audits_are_bit_identical() {
-    let serial_cfg = AuditConfig { threads: Some(1), ..AuditConfig::default() };
-    let parallel_cfg = AuditConfig { threads: Some(8), ..AuditConfig::default() };
-
-    for seed in [3u64, 11, 29] {
-        let inst = workload(seed);
-        let law = PowerLaw::cube();
-        let run = run_c(&inst, law).expect("clean run");
-        let reported = Evaluated { objective: run.objective, per_job: run.per_job.clone() };
-
-        // Single-machine audit, clean and tampered (tampered residuals are
-        // large and must still agree exactly).
-        let mut rng = Pcg64::seed_from_u64(seed);
-        let cases = std::iter::once((run.schedule.clone(), reported.clone())).chain(
-            TAMPERS
-                .iter()
-                .filter_map(|&t| apply(t, &mut rng, &run.schedule, &reported)),
-        );
-        for (i, (schedule, reported)) in cases.enumerate() {
-            let s = ScheduleAudit::new(serial_cfg).audit(&inst, &schedule, &reported);
-            let p = ScheduleAudit::new(parallel_cfg).audit(&inst, &schedule, &reported);
-            assert_reports_identical(&s, &p, &format!("seed {seed} case {i}"));
-        }
-
-        // Cross-machine audit over a duplicated fleet (a failing case with
-        // every check exercised).
-        let fleet = vec![run.schedule.clone(), run.schedule.clone()];
-        let s = MultiAudit::new(serial_cfg).audit(&inst, &fleet, &reported);
-        let p = MultiAudit::new(parallel_cfg).audit(&inst, &fleet, &reported);
-        assert_reports_identical(&s, &p, &format!("seed {seed} fleet"));
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Incremental == batch parity
+// Replay == reference parity
 // ---------------------------------------------------------------------------
 
 /// α grid for the parity matrix — sub-quadratic, quadratic, super-quadratic.
@@ -270,37 +215,9 @@ fn parity_suites() -> Vec<(&'static str, Instance)> {
     vec![("uniform", uniform), ("nonuniform", nonuniform), ("bursty", bursty)]
 }
 
-/// Feed a finished run through a fresh incremental auditor in event order:
-/// releases by job id, segments in schedule order, completions by job id.
-fn incremental_report(
-    law: PowerLaw,
-    jobs: &[Job],
-    segments: &[Segment],
-    per_job: &PerJob,
-    objective: &Objective,
-) -> AuditReport {
-    let mut audit = IncrementalAudit::new(law, AuditConfig::default());
-    for (id, job) in jobs.iter().enumerate() {
-        audit.on_release(id, *job);
-    }
-    for seg in segments {
-        let _ = audit.on_segment(*seg);
-    }
-    for j in 0..jobs.len() {
-        let _ = audit.on_complete(
-            j,
-            per_job.completion.get(j).copied().unwrap_or(f64::NAN),
-            per_job.frac_flow.get(j).copied().unwrap_or(f64::NAN),
-            per_job.int_flow.get(j).copied().unwrap_or(f64::NAN),
-        );
-    }
-    audit.finalize(objective)
-}
-
 /// Two residuals "agree" when they are bitwise equal, both non-finite, or
-/// within an order of magnitude of each other (the incremental path is
-/// allowed last-ulp divergence from fold-order differences, never a
-/// different magnitude of wrongness).
+/// within an order of magnitude of each other (a tampered run may move a
+/// residual by fold-order differences, never by a magnitude of wrongness).
 fn residuals_same_order(a: f64, b: f64) -> bool {
     if a.to_bits() == b.to_bits() {
         return true;
@@ -314,17 +231,17 @@ fn residuals_same_order(a: f64, b: f64) -> bool {
 
 /// Name-by-name parity: same checks in the same order, same verdicts,
 /// residuals of the same order (bitwise when `strict_bits`).
-fn assert_parity(batch: &AuditReport, inc: &AuditReport, context: &str, strict_bits: bool) {
-    assert_eq!(batch.checks.len(), inc.checks.len(), "{context}: check count");
-    for (b, i) in batch.checks.iter().zip(&inc.checks) {
+fn assert_parity(expected: &AuditReport, replayed: &AuditReport, context: &str, strict_bits: bool) {
+    assert_eq!(expected.checks.len(), replayed.checks.len(), "{context}: check count");
+    for (b, i) in expected.checks.iter().zip(&replayed.checks) {
         assert_eq!(b.name, i.name, "{context}: check order");
-        assert_eq!(b.passed, i.passed, "{context}: {} verdict (batch {:?} vs inc {:?})",
+        assert_eq!(b.passed, i.passed, "{context}: {} verdict (reference {:?} vs replay {:?})",
             b.name, b, i);
         if strict_bits {
             assert_eq!(
                 b.residual.to_bits(),
                 i.residual.to_bits(),
-                "{context}: {} residual batch {:e} vs incremental {:e}",
+                "{context}: {} residual reference {:e} vs replay {:e}",
                 b.name,
                 b.residual,
                 i.residual
@@ -332,7 +249,7 @@ fn assert_parity(batch: &AuditReport, inc: &AuditReport, context: &str, strict_b
         } else {
             assert!(
                 residuals_same_order(b.residual, i.residual),
-                "{context}: {} residual order diverged: batch {:e} vs incremental {:e}",
+                "{context}: {} residual order diverged: reference {:e} vs replay {:e}",
                 b.name,
                 b.residual,
                 i.residual
@@ -344,7 +261,8 @@ fn assert_parity(batch: &AuditReport, inc: &AuditReport, context: &str, strict_b
 #[test]
 fn incremental_and_batch_verdicts_agree_across_tamper_matrix() {
     // One pool shard per (α, suite) cell; each cell audits the honest run
-    // plus every tamper kind through both auditors and returns violations.
+    // plus every tamper kind through the reference and the replay and
+    // returns violations.
     let suites = parity_suites();
     let cells: Vec<(usize, usize)> = (0..PARITY_ALPHAS.len())
         .flat_map(|a| (0..suites.len()).map(move |s| (a, s)))
@@ -357,24 +275,21 @@ fn incremental_and_batch_verdicts_agree_across_tamper_matrix() {
         let law = PowerLaw::new(alpha).expect("valid alpha");
         let run = run_c(inst, law).map_err(|e| ctx(&format!("run failed: {e}")))?;
         let reported = Evaluated { objective: run.objective, per_job: run.per_job };
-        let batch_auditor = ScheduleAudit::new(AuditConfig::default());
+        let config = AuditConfig::default();
+        let audit_both = |schedule: &Schedule, reported: &Evaluated| {
+            let expected = reference::audit_schedule(inst, schedule, reported, config);
+            (expected, ScheduleAudit::new(config).audit(inst, schedule, reported))
+        };
 
-        // Honest runs must pass both auditors with bitwise-equal residuals.
-        let batch = batch_auditor.audit(inst, &run.schedule, &reported);
-        let inc = incremental_report(
-            law,
-            inst.jobs(),
-            run.schedule.segments(),
-            &reported.per_job,
-            &reported.objective,
-        );
-        if !batch.passed() {
-            return Err(ctx(&format!("honest run failed batch audit:\n{batch}")));
+        // Honest runs must pass both with bitwise-equal residuals.
+        let (expected, replayed) = audit_both(&run.schedule, &reported);
+        if !expected.passed() {
+            return Err(ctx(&format!("honest run failed the reference audit:\n{expected}")));
         }
-        if !inc.passed() {
-            return Err(ctx(&format!("honest run failed incremental audit:\n{inc}")));
+        if !replayed.passed() {
+            return Err(ctx(&format!("honest run failed the replayed audit:\n{replayed}")));
         }
-        assert_parity(&batch, &inc, &ctx("honest"), true);
+        assert_parity(&expected, &replayed, &ctx("honest"), true);
 
         // Every tamper kind the run's shape can host must trip identically.
         let mut exercised = Vec::new();
@@ -384,23 +299,16 @@ fn incremental_and_batch_verdicts_agree_across_tamper_matrix() {
             else {
                 continue;
             };
-            let batch = batch_auditor.audit(inst, &schedule, &reported);
-            let inc = incremental_report(
-                law,
-                inst.jobs(),
-                schedule.segments(),
-                &reported.per_job,
-                &reported.objective,
-            );
-            if batch.passed() != inc.passed() {
+            let (expected, replayed) = audit_both(&schedule, &reported);
+            if expected.passed() != replayed.passed() {
                 return Err(ctx(&format!(
-                    "{tamper:?}: batch passed={} but incremental passed={}\n{batch}\n{inc}",
-                    batch.passed(),
-                    inc.passed()
+                    "{tamper:?}: reference passed={} but replay passed={}\n{expected}\n{replayed}",
+                    expected.passed(),
+                    replayed.passed()
                 )));
             }
-            assert_parity(&batch, &inc, &ctx(&format!("{tamper:?}")), false);
-            if !batch.passed() {
+            assert_parity(&expected, &replayed, &ctx(&format!("{tamper:?}")), false);
+            if !expected.passed() {
                 exercised.push(tamper);
             }
         }
@@ -419,47 +327,31 @@ fn incremental_and_batch_verdicts_agree_across_tamper_matrix() {
     for tamper in TAMPERS {
         assert!(
             tripped.contains(&tamper),
-            "no matrix cell tripped {tamper:?} through both auditors — coverage regressed"
+            "no matrix cell tripped {tamper:?} through both audits — coverage regressed"
         );
     }
 }
 
 #[test]
 fn incremental_multi_matches_batch_multi_on_duplicated_fleet() {
-    // Same duplicated-fleet corruption as the batch cross-machine test,
-    // replayed through the event-driven fleet auditor: the verdict sheet
-    // must carry the same names, order, and pass/fail.
+    // Same duplicated-fleet corruption as the cross-machine test, through
+    // the reference and the replay: the verdict sheet must carry the same
+    // names, order, and pass/fail.
     let inst = workload(7);
     let law = PowerLaw::cube();
     let run = run_c(&inst, law).expect("clean run");
     let reported = Evaluated { objective: run.objective, per_job: run.per_job };
     let fleet = vec![run.schedule.clone(), run.schedule.clone()];
 
-    let batch = MultiAudit::new(AuditConfig::default()).audit(&inst, &fleet, &reported);
-    let mut audit = IncrementalMultiAudit::new(vec![law; fleet.len()], AuditConfig::default());
-    for (id, job) in inst.jobs().iter().enumerate() {
-        audit.on_release(id, *job);
-    }
-    for (m, schedule) in fleet.iter().enumerate() {
-        for seg in schedule.segments() {
-            let _ = audit.on_segment(m, *seg);
-        }
-    }
-    for j in 0..inst.jobs().len() {
-        let _ = audit.on_complete(
-            j,
-            reported.per_job.completion[j],
-            reported.per_job.frac_flow[j],
-            reported.per_job.int_flow[j],
-        );
-    }
-    let inc = audit.finalize(&reported.objective);
+    let config = AuditConfig::default();
+    let expected = reference::audit_fleet(&inst, &fleet, &reported, config);
+    let replayed = MultiAudit::new(config).audit(&inst, &fleet, &reported);
 
-    assert!(!batch.passed() && !inc.passed(), "duplication must trip both auditors");
-    assert_parity(&batch, &inc, "duplicated fleet", false);
-    let batch_failed: Vec<&str> = batch.failures().iter().map(|c| c.name).collect();
-    let inc_failed: Vec<&str> = inc.failures().iter().map(|c| c.name).collect();
-    assert_eq!(batch_failed, inc_failed, "failure sets must match");
+    assert!(!expected.passed() && !replayed.passed(), "duplication must trip both audits");
+    assert_fleet_parity(&expected, &replayed, "duplicated fleet");
+    let expected_failed: Vec<&str> = expected.failures().iter().map(|c| c.name).collect();
+    let replayed_failed: Vec<&str> = replayed.failures().iter().map(|c| c.name).collect();
+    assert_eq!(expected_failed, replayed_failed, "failure sets must match");
 }
 
 /// A wide fleet's tamperings: each corrupts one machine's timeline.
@@ -510,16 +402,16 @@ fn tamper_fleet(tamper: FleetTamper, schedules: &[Schedule]) -> Vec<Schedule> {
 }
 
 /// Fleet parity: same checks, order and verdicts; each residual of the
-/// same order as the batch one, or within the `1e-12` by which the fleet
-/// auditor's per-machine quadrature sampling may move it (see
+/// same order as the reference one, or within the `1e-12` by which the
+/// fleet auditor's per-machine quadrature sampling may move it (see
 /// `IncrementalMultiAudit`).
-fn assert_fleet_parity(batch: &AuditReport, inc: &AuditReport, context: &str) {
-    assert_eq!(batch.checks.len(), inc.checks.len(), "{context}: check count");
-    for (b, i) in batch.checks.iter().zip(&inc.checks) {
-        assert_eq!((b.name, b.passed), (i.name, i.passed), "{context}: verdict\n{batch}\n{inc}");
+fn assert_fleet_parity(expected: &AuditReport, replayed: &AuditReport, context: &str) {
+    assert_eq!(expected.checks.len(), replayed.checks.len(), "{context}: check count");
+    for (b, i) in expected.checks.iter().zip(&replayed.checks) {
+        assert_eq!((b.name, b.passed), (i.name, i.passed), "{context}: verdict\n{expected}\n{replayed}");
         assert!(
             residuals_same_order(b.residual, i.residual) || (b.residual - i.residual).abs() <= 1e-12,
-            "{context}: {} residual batch {:e} vs incremental {:e}",
+            "{context}: {} residual reference {:e} vs replay {:e}",
             b.name,
             b.residual,
             i.residual
@@ -530,8 +422,8 @@ fn assert_fleet_parity(batch: &AuditReport, inc: &AuditReport, context: &str) {
 #[test]
 fn incremental_multi_matches_batch_multi_on_a_wide_fleet() {
     // 512 machines, a few dozen busy: the fleet auditor's per-event cost
-    // must not scan the idle ones, and its verdicts must stay the batch
-    // pass's, honest or tampered.
+    // must not scan the idle ones, and its verdicts must stay the
+    // reference's, honest or tampered.
     let inst = WorkloadSpec::uniform(240, 10.0, VolumeDist::Exponential { mean: 1.0 })
         .generate(41)
         .expect("wide-fleet workload");
@@ -543,14 +435,14 @@ fn incremental_multi_matches_batch_multi_on_a_wide_fleet() {
     ] {
         let reported = Evaluated { objective: out.objective, per_job: out.per_job.clone() };
         let audit_both = |schedules: &[Schedule]| {
-            let batch = MultiAudit::new(config).audit(&inst, schedules, &reported);
+            let expected = reference::audit_fleet(&inst, schedules, &reported, config);
             let fleet = ncss::multi::ParOutcome { schedules: schedules.to_vec(), ..out.clone() };
-            let inc = ncss::multi::audit_fleet(&inst, law, &fleet, config);
-            (batch, inc)
+            let replayed = ncss::multi::audit_fleet(&inst, law, &fleet, config);
+            (expected, replayed)
         };
-        let (batch, inc) = audit_both(&out.schedules);
-        assert!(batch.passed() && inc.passed(), "{name} honest:\n{batch}\n{inc}");
-        assert_fleet_parity(&batch, &inc, &format!("{name} honest"));
+        let (expected, replayed) = audit_both(&out.schedules);
+        assert!(expected.passed() && replayed.passed(), "{name} honest:\n{expected}\n{replayed}");
+        assert_fleet_parity(&expected, &replayed, &format!("{name} honest"));
 
         for tamper in [
             FleetTamper::ScaleSpeed,
@@ -558,10 +450,10 @@ fn incremental_multi_matches_batch_multi_on_a_wide_fleet() {
             FleetTamper::EndBeforePrevious,
             FleetTamper::CopyToIdle,
         ] {
-            let (batch, inc) = audit_both(&tamper_fleet(tamper, &out.schedules));
+            let (expected, replayed) = audit_both(&tamper_fleet(tamper, &out.schedules));
             let ctx = format!("{name} {tamper:?}");
-            assert!(!batch.passed(), "{ctx}: tampering went unnoticed\n{batch}");
-            assert_fleet_parity(&batch, &inc, &ctx);
+            assert!(!expected.passed(), "{ctx}: tampering went unnoticed\n{expected}");
+            assert_fleet_parity(&expected, &replayed, &ctx);
         }
     }
 }
