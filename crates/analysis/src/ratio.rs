@@ -31,11 +31,9 @@ pub struct RatioReport {
 /// Measure `algorithm` (mapping an instance to its cost) against the
 /// fractional-OPT dual bound over a whole suite, in parallel.
 ///
-/// Parallelism is two-level: instances fan out here, and inside each cell
-/// `solve_fractional_opt` fans its per-edge dual-bound integrals out over
-/// the same persistent `ncss-pool` workers. The nesting is deadlock-free by
-/// the pool's caller-participates contract, and both levels are
-/// order-preserving, so results are bit-identical to a serial run.
+/// Instances fan out over the persistent `ncss-pool` workers; each cell's
+/// OPT solve runs serially inside it. The map is order-preserving, so
+/// results are bit-identical to a serial run.
 pub fn measure_suite(
     instances: &[Instance],
     law: PowerLaw,
@@ -75,7 +73,7 @@ mod tests {
     use ncss_sim::Job;
 
     fn quick() -> SolverOptions {
-        SolverOptions { steps: 400, max_iters: 300, ..Default::default() }
+        SolverOptions::default()
     }
 
     #[test]

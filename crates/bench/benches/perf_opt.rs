@@ -1,14 +1,14 @@
 //! Benches for the offline-optimum solver, on the in-repo harness
 //! (median/p95 to `BENCH_opt.json`).
 //!
-//! The closed-form optimum is audited before timing: its emitted decay
-//! schedule goes through `ncss-audit` against the closed-form numbers, and
-//! the verdict is recorded in the JSON. The projected-gradient solver's
-//! discretised primal has no `Schedule` form, so it stays unaudited.
+//! Both optima are audited before timing: the closed form's decay schedule
+//! against the closed-form numbers, and the exact dual solve's primal
+//! schedule against its own evaluation. The verdicts are recorded in the
+//! JSON.
 
 use ncss_audit::audit_run;
 use ncss_bench::harness::{black_box, Suite};
-use ncss_opt::{single_job_opt, solve_fractional_opt, SolverOptions};
+use ncss_opt::{fractional_opt_schedule, single_job_opt, solve_fractional_opt, SolverOptions};
 use ncss_sim::{Instance, Job, PowerLaw};
 use ncss_workloads::{VolumeDist, WorkloadSpec};
 
@@ -31,8 +31,10 @@ fn main() {
         let inst = WorkloadSpec::uniform(n, 1.0, VolumeDist::Uniform { lo: 0.3, hi: 1.8 })
             .generate(5)
             .expect("valid spec");
-        let opts = SolverOptions { steps: 500, max_iters: 300, ..Default::default() };
-        suite.bench_with(&format!("fractional_opt_solver/{n}"), 2, 10, || {
+        let opts = SolverOptions::default();
+        let out = fractional_opt_schedule(&inst, law, opts).expect("solver");
+        let report = audit_run(&inst, &out.schedule, &out.evaluated);
+        suite.bench_report(&format!("fractional_opt_solver/{n}"), Some(&report), || {
             black_box(solve_fractional_opt(&inst, law, opts).expect("solver"));
         });
     }

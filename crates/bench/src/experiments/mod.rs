@@ -14,16 +14,8 @@ pub mod lower_bound;
 pub mod open_problems;
 pub mod table1;
 
-use ncss_opt::SolverOptions;
-
 /// Base seed for every suite (the conference's opening date).
 pub const BASE_SEED: u64 = 20150613;
-
-/// Solver options balancing accuracy and harness runtime.
-#[must_use]
-pub fn solver_options() -> SolverOptions {
-    SolverOptions { steps: 700, max_iters: 500, ..Default::default() }
-}
 
 /// Run every experiment in DESIGN.md order, concatenating the reports.
 #[must_use]

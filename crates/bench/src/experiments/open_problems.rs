@@ -30,8 +30,7 @@ fn e9_geometric_chain(out: &mut String) {
         for &l in &[2usize, 4, 6, 8] {
             let inst = geometric_density_chain(law, l, rho, unit_cost).expect("chain");
             let c = run_c(&inst, law).expect("C").objective.fractional();
-            let opts = SolverOptions { steps: 600, max_iters: 400, ..Default::default() };
-            let opt = solve_fractional_opt(&inst, law, opts).expect("solver");
+            let opt = solve_fractional_opt(&inst, law, SolverOptions::default()).expect("solver");
             let denom = l as f64 * unit_cost;
             table.row(vec![
                 format!("{l}"),
@@ -133,8 +132,7 @@ mod tests {
         let alpha = 3.0;
         let law = PowerLaw::new(alpha).unwrap();
         let inst = geometric_density_chain(law, 4, 4.0, 1.0).unwrap();
-        let opts = SolverOptions { steps: 500, max_iters: 300, ..Default::default() };
-        let opt = solve_fractional_opt(&inst, law, opts).unwrap();
+        let opt = solve_fractional_opt(&inst, law, SolverOptions::default()).unwrap();
         // OPT (via the feasible primal) <= 4 l c.
         assert!(opt.primal_cost <= 4.0 * 4.0 * 1.0, "primal {}", opt.primal_cost);
     }

@@ -13,20 +13,30 @@ use ncss_analysis::{fmt_f, measure_suite, Table};
 use ncss_core::{
     reduce_to_integral, run_c, run_nc_nonuniform, run_nc_uniform, theory, NonUniformParams,
 };
+use ncss_opt::SolverOptions;
 use ncss_sim::{Instance, PowerLaw};
 use ncss_workloads::suite::tiny_suite;
 
-use super::{solver_options, BASE_SEED};
+use super::BASE_SEED;
 
+/// The worst ratio over the suite, and the widest relative OPT bracket
+/// (primal − dual) / primal it was measured against.
 fn max_ratio(
     instances: &[Instance],
     law: PowerLaw,
     alg: impl Fn(&Instance) -> ncss_sim::SimResult<f64> + Sync,
-) -> f64 {
-    measure_suite(instances, law, solver_options(), alg)
-        .expect("suite measurement")
-        .summary
-        .max
+) -> (f64, f64) {
+    let report = measure_suite(instances, law, SolverOptions::default(), alg).expect("suite measurement");
+    let gap = report
+        .points
+        .iter()
+        .map(|p| if p.opt_upper > 0.0 { (p.opt_upper - p.opt_lower) / p.opt_upper } else { 0.0 })
+        .fold(0.0, f64::max);
+    (report.summary.max, gap)
+}
+
+fn fmt_gap(gap: f64) -> String {
+    format!("{gap:.1e}")
 }
 
 /// Run the experiment and return the report.
@@ -48,6 +58,7 @@ pub fn run() -> String {
             "NC known-density (paper)",
             "measured C",
             "measured NC",
+            "OPT gap",
         ],
     );
 
@@ -55,8 +66,8 @@ pub fn run() -> String {
         let law = PowerLaw::new(alpha).expect("valid alpha");
 
         // Fractional, unit density.
-        let c_frac = max_ratio(&uniform, law, |i| Ok(run_c(i, law)?.objective.fractional()));
-        let nc_frac = max_ratio(&uniform, law, |i| Ok(run_nc_uniform(i, law)?.objective.fractional()));
+        let (c_frac, gap) = max_ratio(&uniform, law, |i| Ok(run_c(i, law)?.objective.fractional()));
+        let (nc_frac, _) = max_ratio(&uniform, law, |i| Ok(run_nc_uniform(i, law)?.objective.fractional()));
         table.row(vec![
             "fractional / unit density".into(),
             fmt_f(alpha),
@@ -65,14 +76,15 @@ pub fn run() -> String {
             fmt_f(theory::nc_uniform_fractional_bound(alpha)),
             fmt_f(c_frac),
             fmt_f(nc_frac),
+            fmt_gap(gap),
         ]);
 
         // Integral, unit density. OPT_int >= OPT_frac, so the dual bound
         // stays valid. The known-weight column also gets a measured value:
         // the weighted-processor-sharing algorithm of that model.
-        let c_int = max_ratio(&uniform, law, |i| Ok(run_c(i, law)?.objective.integral()));
-        let nc_int = max_ratio(&uniform, law, |i| Ok(run_nc_uniform(i, law)?.objective.integral()));
-        let kw_int = max_ratio(&uniform, law, |i| {
+        let (c_int, _) = max_ratio(&uniform, law, |i| Ok(run_c(i, law)?.objective.integral()));
+        let (nc_int, _) = max_ratio(&uniform, law, |i| Ok(run_nc_uniform(i, law)?.objective.integral()));
+        let (kw_int, _) = max_ratio(&uniform, law, |i| {
             Ok(ncss_core::run_known_weight_sharing(i, law)?.objective.integral())
         });
         table.row(vec![
@@ -83,14 +95,15 @@ pub fn run() -> String {
             fmt_f(theory::nc_uniform_integral_bound(alpha)),
             fmt_f(c_int),
             fmt_f(nc_int),
+            fmt_gap(gap),
         ]);
 
         if alpha >= 2.0 {
             // Arbitrary density (the non-uniform algorithm is integrated
             // numerically; keep it to the alphas its defaults target).
             let params = NonUniformParams::recommended(alpha);
-            let c_nfrac = max_ratio(&nonuniform, law, |i| Ok(run_c(i, law)?.objective.fractional()));
-            let nc_nfrac = max_ratio(&nonuniform, law, |i| {
+            let (c_nfrac, ngap) = max_ratio(&nonuniform, law, |i| Ok(run_c(i, law)?.objective.fractional()));
+            let (nc_nfrac, _) = max_ratio(&nonuniform, law, |i| {
                 Ok(run_nc_nonuniform(i, law, params)?.objective.fractional())
             });
             table.row(vec![
@@ -101,10 +114,11 @@ pub fn run() -> String {
                 format!("2^O(alpha) (~{})", fmt_f(theory::nc_nonuniform_indicative_bound(alpha))),
                 fmt_f(c_nfrac),
                 fmt_f(nc_nfrac),
+                fmt_gap(ngap),
             ]);
 
             let eps = theory::optimal_reduction_epsilon(alpha);
-            let nc_nint = max_ratio(&nonuniform, law, |i| {
+            let (nc_nint, _) = max_ratio(&nonuniform, law, |i| {
                 let base = run_nc_nonuniform(i, law, params)?;
                 Ok(reduce_to_integral(&base.schedule, i, eps)?.objective.integral())
             });
@@ -116,6 +130,7 @@ pub fn run() -> String {
                 format!("2^O(alpha) (~{})", fmt_f(theory::nc_nonuniform_indicative_bound(alpha))),
                 "-".into(),
                 fmt_f(nc_nint),
+                fmt_gap(ngap),
             ]);
         }
     }
@@ -140,7 +155,7 @@ fn integral_bracket_section(uniform: &[Instance]) -> String {
         &["jobs", "frac dual (lb)", "integral upper", "NC int cost", "NC ratio vs int-ub"],
     );
     for inst in uniform.iter().filter(|i| i.len() <= 4) {
-        let frac = ncss_opt::solve_fractional_opt(inst, law, super::solver_options()).expect("solver");
+        let frac = ncss_opt::solve_fractional_opt(inst, law, SolverOptions::default()).expect("solver");
         let ub = integral_opt_upper(inst, law, 20).expect("integral bracket");
         let nc = run_nc_uniform(inst, law).expect("NC").objective.integral();
         table.row(vec![
@@ -163,12 +178,13 @@ mod tests {
         // A trimmed inline version of T1's pass criteria (alpha = 2).
         let law = PowerLaw::new(2.0).unwrap();
         let suite = tiny_suite(BASE_SEED, true);
-        let c = max_ratio(&suite, law, |i| Ok(run_c(i, law)?.objective.fractional()));
-        let nc = max_ratio(&suite, law, |i| Ok(run_nc_uniform(i, law)?.objective.fractional()));
-        // 10% slack absorbs the OPT duality gap.
-        assert!(c <= theory::c_fractional_bound() * 1.10, "C {c}");
-        assert!(nc <= theory::nc_uniform_fractional_bound(2.0) * 1.10, "NC {nc}");
-        let nc_int = max_ratio(&suite, law, |i| Ok(run_nc_uniform(i, law)?.objective.integral()));
-        assert!(nc_int <= theory::nc_uniform_integral_bound(2.0) * 1.10, "NC int {nc_int}");
+        let (c, gap) = max_ratio(&suite, law, |i| Ok(run_c(i, law)?.objective.fractional()));
+        let (nc, _) = max_ratio(&suite, law, |i| Ok(run_nc_uniform(i, law)?.objective.fractional()));
+        // The OPT bracket is closed, so the bounds hold against the dual.
+        assert!(gap <= 1e-9, "OPT gap {gap}");
+        assert!(c <= theory::c_fractional_bound() * (1.0 + 1e-9), "C {c}");
+        assert!(nc <= theory::nc_uniform_fractional_bound(2.0) * (1.0 + 1e-9), "NC {nc}");
+        let (nc_int, _) = max_ratio(&suite, law, |i| Ok(run_nc_uniform(i, law)?.objective.integral()));
+        assert!(nc_int <= theory::nc_uniform_integral_bound(2.0) * (1.0 + 1e-9), "NC int {nc_int}");
     }
 }

@@ -25,8 +25,8 @@ commands:
            DIST for densities: fixed:D | loguniform:LO:HI | powers:BASE:LEVELS
   run      --algorithm A --input FILE [--alpha ALPHA]
            A = c | nc | nc-nonuniform | active-count | newest-first | constant:SPEED
-  opt      --input FILE [--alpha ALPHA] [--steps N] [--iters N]
-           bracket the fractional offline optimum
+  opt      --input FILE [--alpha ALPHA]
+           bracket the fractional offline optimum (exact dual solve)
   compare  --input FILE [--alpha ALPHA] [--machines K]
            run every applicable algorithm and print costs + certified ratios
            plus each run's audit verdict and audit wall-time; with
@@ -206,12 +206,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, String> {
 fn cmd_opt(args: &ParsedArgs) -> Result<String, String> {
     let inst = load_instance(args)?;
     let law = law_of(args)?;
-    let opts = SolverOptions {
-        steps: args.usize_or("steps", 1200)?,
-        max_iters: args.usize_or("iters", 800)?,
-        ..Default::default()
-    };
-    let sol = solve_fractional_opt(&inst, law, opts).map_err(|e| e.to_string())?;
+    let sol = solve_fractional_opt(&inst, law, SolverOptions::default()).map_err(|e| e.to_string())?;
     let mut t = Table::new(
         format!("fractional OPT bracket for {} jobs (alpha = {})", inst.len(), law.alpha()),
         &["certified lower bound", "feasible upper bound", "gap", "iterations"],
@@ -219,7 +214,7 @@ fn cmd_opt(args: &ParsedArgs) -> Result<String, String> {
     t.row(vec![
         fmt_f(sol.dual_bound),
         fmt_f(sol.primal_cost),
-        format!("{:.2}%", sol.gap() * 100.0),
+        format!("{:.1e}", sol.gap()),
         format!("{}", sol.iterations),
     ]);
     Ok(t.render())
@@ -568,12 +563,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, String> {
     for i in 0..n {
         let alpha = lo + (hi - lo) * i as f64 / (n - 1) as f64;
         let law = PowerLaw::new(alpha).map_err(|e| e.to_string())?;
-        let sol = solve_fractional_opt(
-            &inst,
-            law,
-            SolverOptions { steps: 500, max_iters: 300, ..Default::default() },
-        )
-        .map_err(|e| e.to_string())?;
+        let sol = solve_fractional_opt(&inst, law, SolverOptions::default()).map_err(|e| e.to_string())?;
         let lb = sol.dual_bound.max(f64::MIN_POSITIVE);
         let c = run_c(&inst, law).map_err(|e| e.to_string())?.objective.fractional();
         let (nc, bound) = if inst.is_uniform_density() {
@@ -668,8 +658,12 @@ mod tests {
             let out = run_cli(&v(&["run", "--algorithm", algo, "--input", &path, "--alpha", "2"])).unwrap();
             assert!(out.contains("frac objective"), "{algo}: {out}");
         }
-        let out = run_cli(&v(&["opt", "--input", &path, "--steps", "300", "--iters", "150"])).unwrap();
+        let out = run_cli(&v(&["opt", "--input", &path])).unwrap();
         assert!(out.contains("certified lower bound"));
+        // The gap prints in scientific notation: a closed bracket shows its
+        // order of magnitude instead of rounding to 0.00%.
+        let gap: f64 = out.lines().last().and_then(|l| l.split_whitespace().nth(2)).unwrap().parse().unwrap();
+        assert!(gap.abs() <= 1e-9 && !out.contains('%'), "{out}");
         let out = run_cli(&v(&["compare", "--input", &path, "--alpha", "2"])).unwrap();
         assert!(out.contains("ratio vs OPT lb"));
         assert!(out.contains("paper bounds"));

@@ -5,7 +5,7 @@
 //! ```text
 //! ncss generate --n 20 --rate 1.5 --volumes exp:1.0 --densities fixed:1.0 --seed 7
 //! ncss run      --algorithm nc --alpha 3 --input trace.csv
-//! ncss opt      --alpha 3 --input trace.csv --steps 800
+//! ncss opt      --alpha 3 --input trace.csv
 //! ncss compare  --alpha 3 --input trace.csv
 //! ```
 //!

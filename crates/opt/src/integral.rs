@@ -161,7 +161,7 @@ mod tests {
         ])
         .unwrap();
         let law = pl(2.0);
-        let frac = solve_fractional_opt(&inst, law, SolverOptions { steps: 400, max_iters: 250, ..Default::default() }).unwrap();
+        let frac = solve_fractional_opt(&inst, law, SolverOptions::default()).unwrap();
         let ub = integral_opt_upper(&inst, law, 24).unwrap();
         assert!(frac.dual_bound <= ub.cost * (1.0 + 1e-9));
         let c = ncss_core::run_c(&inst, law).unwrap().objective.integral();

@@ -4,9 +4,13 @@
 //!
 //! * [`closed_form`] — the exact single-job (and uniform-density batch)
 //!   optimum from the Euler–Lagrange conditions,
-//! * [`solver`] — a projected-gradient convex solver for the fractional
-//!   objective on arbitrary instances, producing a feasible primal schedule
-//!   *and* a certified dual lower bound on the continuous-time optimum.
+//! * [`solver`] — the fractional optimum on arbitrary instances, solved
+//!   exactly through its Lagrangian dual: a certified dual lower bound on
+//!   the continuous-time optimum *and* a feasible primal schedule of exact
+//!   decay segments, whose gap closes to rounding.
+//!
+//! [`mod@yds`] is the classic exact algorithm for the deadline problem, and
+//! [`integral`] brackets the integral-objective optimum on small instances.
 //!
 //! Integral-objective optima are NP-hard to pin down exactly; per standard
 //! practice (and the paper's own analysis), the fractional optimum is used
@@ -24,5 +28,5 @@ pub mod yds;
 
 pub use closed_form::{batch_uniform_opt, single_job_opt, SingleJobOpt};
 pub use integral::{integral_opt_upper, IntegralUpperBound};
-pub use solver::{solve_fractional_opt, FracOpt, SolverOptions};
+pub use solver::{fractional_opt_schedule, solve_fractional_opt, FracOpt, OptSchedule, SolverOptions};
 pub use yds::{yds, yds_execution, DeadlineJob, YdsExecution, YdsSchedule};

@@ -60,8 +60,7 @@ pub fn nonuniform_suite(base_seed: u64) -> Vec<Instance> {
     out
 }
 
-/// Small instances for experiments that solve the offline optimum (the
-/// solver cost grows with jobs × grid steps).
+/// Small instances for experiments that solve the offline optimum.
 #[must_use]
 pub fn tiny_suite(base_seed: u64, uniform: bool) -> Vec<Instance> {
     let mut out = Vec::new();

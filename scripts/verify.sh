@@ -18,7 +18,9 @@
 #      beside them: the replayed audits vs the serial batch re-derivation
 #      in tests/audit_reference.rs, sharded vs serial fleets,
 #      the serial multi-machine loops, and the offline `compare` path
-#      (NC non-uniform vs its from-scratch speed oracle, pinned OPT bits)
+#      (NC non-uniform vs its from-scratch speed oracle, the grid OPT
+#      reference and its pinned bits); then the exact OPT solve must close
+#      its bracket to 1e-6 on an n = 1000 instance (wall time reported)
 #   6. audit smoke: every schedule-producing algorithm on a generated
 #      trace must pass the independent audit; the parallel algorithms
 #      go through the cross-machine auditor, and a deliberately
@@ -68,8 +70,22 @@ fault_start=$(date +%s)
 cargo test --release -q --offline --test fault_contract
 echo "fault contract wall-time: $(($(date +%s) - fault_start))s"
 
-echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference"
-cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference
+echo "==> cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference --test opt_reference"
+cargo test --release -q --offline --test closed_form_quadrature --test audit_property --test audit_reference --test fleet_identity --test multi_reference --test offline_reference --test opt_reference
+
+echo "==> exact OPT gate (n = 1000, seed 3, densities powers:5:3, alpha 2.5)"
+# The exact dual solve must close the bracket on a large instance; the
+# wall time is reported, not gated.
+opt_csv="$(mktemp /tmp/ncss_verify_opt.XXXXXX.csv)"
+target/release/ncss-cli generate --n 1000 --rate 1.0 --volumes exp:1.0 \
+    --densities powers:5:3 --seed 3 > "$opt_csv"
+opt_start=$(date +%s%N)
+opt_gap=$(target/release/ncss-cli opt --input "$opt_csv" --alpha 2.5 | awk 'NR == 4 { print $3 }')
+opt_ms=$(( ($(date +%s%N) - opt_start) / 1000000 ))
+rm -f "$opt_csv"
+awk -v g="$opt_gap" 'BEGIN { exit !(g != "" && g <= 1e-6 && g >= -1e-6) }' \
+    || { echo "FAIL: n=1000 OPT gap '$opt_gap' exceeds 1e-6" >&2; exit 1; }
+echo "n=1000 OPT gap $opt_gap, wall-time ${opt_ms}ms"
 
 echo "==> audit smoke (ncss-cli audit on a generated trace)"
 cli=target/release/ncss-cli

@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`sim`] | continuous-time substrate: jobs, instances, exact power-curve kernels, analytic schedules, objectives |
 //! | [`core`] | Algorithm C (clairvoyant comparator), Algorithm NC (uniform + non-uniform density), the fractional→integral reduction, baselines, theory constants |
-//! | [`opt`] | offline optimum: closed forms + a convex solver with certified dual lower bounds |
+//! | [`opt`] | offline optimum: closed forms + an exact dual solve with a certified bracket |
 //! | [`workloads`] | seeded generators, adversarial constructions, cloud-billing traces |
 //! | [`multi`] | identical parallel machines: C-PAR, NC-PAR, dispatch policies, the `Ω(k^{1−1/α})` lower-bound game |
 //! | [`audit`] | independent run auditing: closed-form re-derivation of objectives (sampled quadrature cross-check tier) + event-level invariants |

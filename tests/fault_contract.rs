@@ -33,7 +33,7 @@ const CASES: usize = 220;
 
 /// Cheap solver settings: the contract is about robustness, not accuracy.
 fn quick_solver() -> SolverOptions {
-    SolverOptions { steps: 120, max_iters: 60, ..SolverOptions::default() }
+    SolverOptions::default()
 }
 
 /// Fast non-uniform settings for tiny adversarial instances. The step cap

@@ -10,18 +10,21 @@
 //!   and the fault-injection suite.
 //! * `CStream::speed_at` against `run_c(..).schedule.speed_at(t)` at every
 //!   segment boundary, release and segment midpoint of random streams.
-//! * The OPT solver: `FracOpt` bits pinned for four seeded instances, and
-//!   `project_simplex` against the sort-based projection it replaced.
+//! * The grid OPT solver, now the reference in `tests/opt_reference.rs`:
+//!   `FracOpt` bits pinned for four seeded instances, and `project_simplex`
+//!   against the sort-based projection it replaced.
 
 // The reference keeps the integrator's `!(x > 1.0)` parameter checks,
 // which reject NaN as the library's do.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
+#[path = "opt_reference.rs"]
+mod reference;
+
 use ncss::core::streaming::CStream;
 use ncss::core::nc_nonuniform::NonUniformRun;
 use ncss::core::{run_c, run_nc_nonuniform, NonUniformParams};
-use ncss::opt::solver::project_simplex;
-use ncss::opt::{solve_fractional_opt, FracOpt, SolverOptions};
+use ncss::opt::FracOpt;
 use ncss::pool::Pool;
 use ncss_rng::Pcg64;
 use ncss::sim::numeric::KahanSum;
@@ -31,6 +34,7 @@ use ncss::sim::{
 };
 use ncss::workloads::fault_suite;
 use ncss::workloads::{DensityDist, VolumeDist, WorkloadSpec};
+use reference::{project_simplex, solve_grid, GridOptions};
 
 const ALPHAS: [f64; 4] = [1.5, 2.0, 2.5, 3.0];
 const SCALES: [f64; 3] = [1e-8, 1.0, 1e6];
@@ -504,14 +508,14 @@ fn pinned_instance(seed: u64) -> Instance {
     spec.generate(seed).unwrap()
 }
 
-fn pinned_options() -> SolverOptions {
-    SolverOptions { steps: 300, max_iters: 250, ..SolverOptions::default() }
+fn pinned_options() -> GridOptions {
+    GridOptions { steps: 300, max_iters: 250, ..GridOptions::default() }
 }
 
 #[test]
 fn frac_opt_bits_are_pinned() {
     for (seed, alpha, primal, dual, iterations, kkt) in PINNED {
-        let sol: FracOpt = solve_fractional_opt(&pinned_instance(seed), law(alpha), pinned_options()).unwrap();
+        let sol: FracOpt = solve_grid(&pinned_instance(seed), law(alpha), pinned_options()).unwrap();
         let got = (sol.primal_cost.to_bits(), sol.dual_bound.to_bits(), sol.iterations, sol.kkt_residual.to_bits());
         assert_eq!(got, (primal, dual, iterations, kkt), "seed {seed} α={alpha}: {sol:?}");
     }
